@@ -11,7 +11,6 @@
      dune exec bench/main.exe -- ablation-olap      — Q11 rollup / Q12 cube scaling
      dune exec bench/main.exe -- ablation-counts    — the §3.1 count optimization
      dune exec bench/main.exe -- ablation-index     — element-name index (off in §6)
-     dune exec bench/main.exe -- ablation-algebra   — plan-layer overhead
      dune exec bench/main.exe -- ablation-strategy  — hash vs sort vs fused-sort grouping
      dune exec bench/main.exe -- ablation-parallel  — domain-pool degree 1/2/4 per strategy
      dune exec bench/main.exe -- ablation-batch     — item-at-a-time vs batched + key dictionary
@@ -319,28 +318,6 @@ let ablation_index () =
         e.label (Timing.fmt_ms t_scan) (Timing.fmt_ms t_idx) (t_scan /. t_idx)
         (Timing.fmt_ms tq_scan) (Timing.fmt_ms tq_idx) (tq_scan /. tq_idx))
     [ List.hd Queries.experiments; List.nth Queries.experiments 3 ]
-
-(* --- Ablation G: explicit algebra vs direct evaluation ----------------------- *)
-
-let ablation_algebra () =
-  Timing.header
-    "Ablation G: plan-compiled execution (Plan/Exec) vs direct evaluation";
-  let doc = orders_doc lineitems_default in
-  List.iter
-    (fun (e : Queries.experiment) ->
-      let query = Xq.parse e.qgb in
-      Xq.check query;
-      let t_direct =
-        Timing.measure_ms ~runs:3 (fun () -> Xq.run_query ~check:false doc query)
-      in
-      let t_algebra =
-        Timing.measure_ms ~runs:3 (fun () ->
-            Xq.Algebra.Exec.eval_query ~check:false ~context_node:doc query)
-      in
-      Printf.printf "%-4s %-26s direct=%10s algebra=%10s (overhead %.2fx)\n%!"
-        e.label e.keys (Timing.fmt_ms t_direct) (Timing.fmt_ms t_algebra)
-        (t_algebra /. t_direct))
-    Queries.experiments
 
 (* --- Ablation H: grouping strategy ------------------------------------------- *)
 
@@ -689,6 +666,10 @@ let ablation_server () =
      plan cache and resident document store";
   let module Server = Xq_server.Server_core in
   let module Protocol = Xq_server.Protocol in
+  (* requests carry no STRATEGY header: the environment's default runs *)
+  let default_strategy =
+    Xq.Algebra.Optimizer.(strategy_to_string (strategy_from_env ()))
+  in
   let queries =
     [ ("count-orders", "<total>{count(/orders/order)}</total>");
       ( "tax-group-order",
@@ -739,10 +720,10 @@ let ablation_server () =
               serve ();
               let t_warm = Timing.measure_ms ~runs:5 serve in
               record ~bench:"ablation-server" ~query:(label ^ "-cold")
-                ~size:lineitems ~groups ~strategy:"direct" ~parallel:1
+                ~size:lineitems ~groups ~strategy:default_strategy ~parallel:1
                 ~ms:t_cold ();
               record ~bench:"ablation-server" ~query:(label ^ "-warm")
-                ~size:lineitems ~groups ~strategy:"direct" ~parallel:1
+                ~size:lineitems ~groups ~strategy:default_strategy ~parallel:1
                 ~ms:t_warm ();
               Printf.printf
                 "n=%6d %-18s  cold=%10s  warm=%10s  (%.1fx faster resident)\n%!"
@@ -1001,7 +982,6 @@ let () =
   if want "ablation-olap" then ablation_olap ();
   if want "ablation-counts" then ablation_counts ();
   if want "ablation-index" then ablation_index ();
-  if want "ablation-algebra" then ablation_algebra ();
   if want "ablation-strategy" then ablation_strategy ();
   if want "ablation-parallel" then ablation_parallel ~full ();
   if want "ablation-batch" then ablation_batch ~full ();

@@ -110,7 +110,8 @@ let explain_analyze_flag =
 
 let strategy_opt =
   let doc =
-    "Grouping strategy for the plan algebra: $(b,hash) (one-pass hash), \
+    "Grouping strategy for every group by, nested ones included: \
+     $(b,hash) (one-pass hash), \
      $(b,sort) (sort-based grouping) or $(b,auto) (sort when a \
      downstream order-by on the group keys can be fused). Defaults to \
      the $(b,XQ_GROUP_STRATEGY) environment variable, else hash."
@@ -249,8 +250,8 @@ let load_input = function
   | Some path -> Xq.load_file path
   | None -> Xq.load_string "<empty/>"
 
-(* Make --parallel the process default so both the direct evaluator and
-   the plan algebra honor it. *)
+(* Make --parallel the process default, so every plan honors it —
+   nested FLWORs included. *)
 let apply_parallel = function
   | Some n -> Xq.Par.set_default_degree n
   | None -> ()
@@ -408,19 +409,8 @@ let profile_cmd =
         Xq.check query;
         match query.Xq.Lang.Ast.body with
         | Xq.Lang.Ast.Flwor f ->
-          let plan = Xq.Algebra.Plan.of_flwor f in
-          let plan =
-            let strategy =
-              match strategy with
-              | Some s -> s
-              | None -> Xq.Algebra.Optimizer.strategy_from_env ()
-            in
-            Xq.Algebra.Optimizer.apply_strategy strategy plan
-          in
-          let plan = Xq.Algebra.Optimizer.push_aggregates plan in
-          let plan =
-            if optimize then Xq.Algebra.Optimizer.optimize plan else plan
-          in
+          Xq.Algebra.Exec.within ~optimize ?strategy ?parallel @@ fun () ->
+          let plan = Xq.Algebra.Exec.plan_of_flwor f in
           let ctx = Xq.Algebra.Exec.query_context ~context_node:doc query in
           print_string (Xq.Algebra.Plan.to_string plan);
           let result, stats =

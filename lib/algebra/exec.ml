@@ -10,9 +10,9 @@ type tuple = Xseq.t Smap.t
 let ctx_with_tuple ctx tuple =
   Smap.fold (fun v value ctx -> Xq_engine.Context.bind ctx v value) tuple ctx
 
-(* Spill codec for executor tuples — same wire shape as the evaluator's
-   (sorted variable/sequence bindings), letting grouping operators
-   degrade to the external build under memory pressure. *)
+(* Spill codec for executor tuples: sorted (variable, sequence)
+   bindings, letting grouping operators degrade to the external build
+   under memory pressure. *)
 let tuple_codec : tuple Xq_engine.Group.codec =
   {
     Xq_engine.Group.enc =
@@ -103,6 +103,57 @@ let sort_tuples ?tally ?(parallel = 1) ctx specs tuples =
     List.map snd (Array.to_list arr)
   end
 
+(* Expand one tuple into one tuple per window over the clause's source
+   sequence (XQuery 3.0 tumbling/sliding semantics; boundary search in
+   [Window_sem]). *)
+let expand_window ctx (w : Ast.window_clause) tuple =
+  let items = Array.of_list (eval_in ctx tuple w.Ast.w_src) in
+  let length = Array.length items in
+  (* bind a condition's variables for position [pos] (1-based) *)
+  let bind_cond (wc : Ast.window_vars_cond) pos tuple =
+    let add var value tuple =
+      match var with Some v -> Smap.add v value tuple | None -> tuple
+    in
+    tuple
+    |> add wc.Ast.wc_item [ items.(pos - 1) ]
+    |> add wc.Ast.wc_pos (Xseq.of_int pos)
+    |> add wc.Ast.wc_prev (if pos >= 2 then [ items.(pos - 2) ] else [])
+    |> add wc.Ast.wc_next (if pos < length then [ items.(pos) ] else [])
+  in
+  let holds t (wc : Ast.window_vars_cond) =
+    Xseq.effective_boolean_value (eval_in ctx t wc.Ast.wc_when)
+  in
+  let start_when pos = holds (bind_cond w.Ast.w_start pos tuple) w.Ast.w_start in
+  let end_when, only_end =
+    match w.Ast.w_end with
+    | Some { Ast.we_only; we_cond } ->
+      (* the end condition also sees the start condition's variables,
+         bound at the window's start position *)
+      ( Some
+          (fun ~start_pos pos ->
+            holds
+              (bind_cond we_cond pos (bind_cond w.Ast.w_start start_pos tuple))
+              we_cond),
+        we_only )
+    | None -> (None, false)
+  in
+  let bounds =
+    Xq_engine.Window_sem.compute ~kind:w.Ast.w_kind ~start_when ~end_when
+      ~only_end ~length
+  in
+  List.map
+    (fun (b : Xq_engine.Window_sem.bounds) ->
+      let window_items =
+        List.init (b.end_pos - b.start_pos + 1) (fun i ->
+            items.(b.start_pos - 1 + i))
+      in
+      let t = Smap.add w.Ast.w_var window_items tuple in
+      let t = bind_cond w.Ast.w_start b.start_pos t in
+      match w.Ast.w_end with
+      | Some { Ast.we_cond; _ } -> bind_cond we_cond b.end_pos t
+      | None -> t)
+    bounds
+
 let group_output ?tally ctx (shape : Plan.group_shape) groups =
   List.map
     (fun (grp : tuple Xq_engine.Group.group) ->
@@ -164,6 +215,11 @@ let agg_output (shape : Plan.group_shape) groups =
             row.ar_accs)
         grp.Xq_engine.Group.members)
     groups;
+  let mangled =
+    List.map
+      (fun (v, kinds) -> List.map (fun kind -> (kind, Acc.mangle v kind)) kinds)
+      shape.Plan.aggs
+  in
   List.map
     (fun (grp : agg_row Xq_engine.Group.group) ->
       let row =
@@ -179,11 +235,11 @@ let agg_output (shape : Plan.group_shape) groups =
       in
       let slot = ref (-1) in
       List.fold_left
-        (fun out (v, kinds) ->
+        (fun out kinds ->
           incr slot;
           let acc = row.ar_accs.(!slot) in
           List.fold_left
-            (fun out kind ->
+            (fun out (kind, var) ->
               let value =
                 match Acc.finish acc kind with
                 | Ok seq -> seq
@@ -194,9 +250,9 @@ let agg_output (shape : Plan.group_shape) groups =
                     Item.Atomic (Atomic.Str msg);
                   ]
               in
-              Smap.add (Acc.mangle v kind) value out)
+              Smap.add var value out)
             out kinds)
-        out shape.Plan.aggs)
+        out mangled)
     groups
 
 (* Apply a user (or builtin) equality function to two key sequences by
@@ -252,21 +308,33 @@ type sink = {
          callback — i.e. never while a push is in flight. *)
 }
 
-(* Accumulate single tuples and emit full vectors downstream. *)
+(* Accumulate single tuples and emit vectors downstream. Vectors start
+   at 16 slots and double with every full one, up to [batch]: a plan
+   that only ever sees a handful of tuples (a nested FLWOR evaluated
+   once per outer tuple) never allocates a full-width vector. A full
+   vector is handed downstream as is and replaced, a partial one is
+   copied out. *)
 let rebatcher batch down =
   let cap = max 1 batch in
-  let buf = Array.make cap Smap.empty in
+  let buf = ref (Array.make (min cap 16) Smap.empty) in
   let fill = ref 0 in
   let flush () =
-    if !fill > 0 then begin
-      down.push (Array.sub buf 0 !fill);
-      fill := 0
+    let n = !fill in
+    if n > 0 then begin
+      fill := 0;
+      let width = Array.length !buf in
+      if n < width then down.push (Array.sub !buf 0 n)
+      else begin
+        let full = !buf in
+        buf := Array.make (min cap (2 * width)) Smap.empty;
+        down.push full
+      end
     end
   in
   let push_one t =
-    Array.unsafe_set buf !fill t;
+    Array.unsafe_set !buf !fill t;
     incr fill;
-    if !fill >= cap then flush ()
+    if !fill >= Array.length !buf then flush ()
   in
   (push_one, flush)
 
@@ -398,15 +466,7 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
           count_batch ();
           Governor.tick ();
           Array.iter
-            (fun tuple ->
-              List.iter
-                (fun bindings ->
-                  push_one
-                    (List.fold_left
-                       (fun m (v, value) -> Smap.add v value m)
-                       Smap.empty bindings))
-                (Xq_engine.Eval.expand_window_bindings ctx window
-                   (Smap.bindings tuple)))
+            (fun tuple -> List.iter push_one (expand_window ctx window tuple))
             vec);
       close =
         (fun () ->
@@ -459,6 +519,7 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
          feed time instead of materializing member lists *)
       let nslots = List.length shape.Plan.nests in
       let nests = Array.of_list shape.Plan.nests in
+      let kinds = Array.of_list (List.map snd shape.Plan.aggs) in
       let agg_codec : agg_row Xq_engine.Group.codec =
         {
           Xq_engine.Group.enc =
@@ -473,7 +534,10 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
                   (Binio.Corrupt
                      (Printf.sprintf "accumulator arity %d, expected %d" n
                         nslots));
-              { ar_keys = []; ar_accs = Array.init nslots (fun _ -> Acc.decode rd) });
+              {
+                ar_keys = [];
+                ar_accs = Array.map (fun k -> Acc.decode k rd) kinds;
+              });
         }
       in
       let row_cost r =
@@ -481,7 +545,7 @@ let op_sink ?tally ?batches ~batch ~parallel ctx (op : Plan.op) (down : sink) :
       in
       let make_row tuple =
         let keys = shape_keys_of ctx shape tuple in
-        let accs = Array.init nslots (fun _ -> Acc.create ()) in
+        let accs = Array.map Acc.create kinds in
         Array.iteri
           (fun i (n : Ast.nest_spec) ->
             match eval_in ctx tuple n.Ast.nest_expr with
@@ -761,30 +825,31 @@ let run_profiled ?parallel ctx (plan : Plan.plan) =
         })
       stats )
 
-let run ?parallel ctx (plan : Plan.plan) =
-  let parallel = match parallel with Some p -> p | None -> 1 in
-  let batch = Batch.size () in
+(* The return clause as the chain's final sink: numbers the stream for
+   [return at] and evaluates the return expression per tuple; the
+   second component concatenates the outputs. *)
+let return_sink ctx (plan : Plan.plan) =
   let rev_out = ref [] in
   let counter = ref 0 in
-  let final =
-    {
-      push =
-        (fun vec ->
-          Array.iter
-            (fun t ->
-              let t =
-                match plan.Plan.return_at with
-                | None -> t
-                | Some v ->
-                  incr counter;
-                  Smap.add v (Xseq.of_int !counter) t
-              in
-              rev_out := eval_in ctx t plan.Plan.return_expr :: !rev_out)
-            vec);
-      close = (fun () -> ());
-      pressure = (fun () -> ());
-    }
+  let push vec =
+    Array.iter
+      (fun t ->
+        let t =
+          match plan.Plan.return_at with
+          | None -> t
+          | Some v ->
+            incr counter;
+            Smap.add v (Xseq.of_int !counter) t
+        in
+        rev_out := eval_in ctx t plan.Plan.return_expr :: !rev_out)
+      vec
   in
+  ( { push; close = (fun () -> ()); pressure = (fun () -> ()) },
+    fun () -> Xseq.concat (List.rev !rev_out) )
+
+let run ?(parallel = 1) ctx (plan : Plan.plan) =
+  let batch = Batch.size () in
+  let final, result = return_sink ctx plan in
   let chain =
     List.fold_right
       (fun op down -> op_sink ~batch ~parallel ctx op down)
@@ -792,51 +857,97 @@ let run ?parallel ctx (plan : Plan.plan) =
       final
   in
   chain.close ();
-  Xseq.concat (List.rev !rev_out)
+  result ()
 
-(* The body's top-level FLWORs (including members of a top-level sequence)
-   execute through plans; other expressions — and FLWORs nested inside
-   them — evaluate through the engine, which has identical semantics. *)
-let rec eval_top ~optimize ~strategy ~parallel ctx (e : Ast.expr) =
-  match e with
-  | Ast.Flwor f ->
-    let plan = Plan.of_flwor f in
-    let plan = Optimizer.apply_strategy strategy plan in
-    let plan = Optimizer.push_aggregates plan in
-    let plan = if optimize then Optimizer.optimize plan else plan in
-    run ~parallel ctx plan
-  | Ast.Sequence es ->
-    Xseq.concat (List.map (eval_top ~optimize ~strategy ~parallel ctx) es)
-  | _ -> Xq_engine.Eval.eval ctx e
+(* --- one plan builder, one executor ------------------------------------ *)
 
-(* Dynamic context for a query: prolog, focus on the context node, then
-   the prolog's global variables (evaluated in order). *)
-let query_context ~context_node (q : Ast.query) =
-  let ctx = Xq_engine.Context.of_prolog q.Ast.prolog in
-  let focus =
-    { Xq_engine.Context.item = Item.Node context_node; position = 1; size = 1 }
+type settings = {
+  strategy : Optimizer.group_strategy;
+  optimize : bool;
+  parallel : int;
+}
+
+(* The settings of the query running on this domain — what every FLWOR
+   it evaluates, nested ones included, compiles and executes under.
+   Domains the pool spawns inherit them at degree 1: a plan nested in a
+   pool task runs sequentially instead of forking again. *)
+let settings_key : settings option Domain.DLS.key =
+  Domain.DLS.new_key
+    ~split_from_parent:(Option.map (fun s -> { s with parallel = 1 }))
+    (fun () -> None)
+
+let resolve ?(optimize = false) ?strategy ?parallel () =
+  {
+    strategy =
+      (match strategy with
+       | Some s -> s
+       | None -> Optimizer.strategy_from_env ());
+    optimize;
+    parallel = (match parallel with Some p -> p | None -> Par.default_degree ());
+  }
+
+let current_settings () =
+  match Domain.DLS.get settings_key with Some s -> s | None -> resolve ()
+
+let within ?optimize ?strategy ?parallel f =
+  let s = resolve ?optimize ?strategy ?parallel () in
+  let saved = Domain.DLS.get settings_key in
+  Domain.DLS.set settings_key (Some s);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set settings_key saved) f
+
+let plan_of_flwor f =
+  let s = current_settings () in
+  let plan =
+    Optimizer.push_aggregates
+      (Optimizer.apply_strategy s.strategy (Plan.of_flwor f))
   in
-  let ctx = Xq_engine.Context.with_focus ctx focus in
+  if s.optimize then Optimizer.optimize plan else plan
+
+let () =
+  Xq_engine.Eval.set_flwor_executor (fun ctx f ->
+      run ~parallel:(current_settings ()).parallel ctx (plan_of_flwor f))
+
+(* Dynamic context for a query: prolog, the fn:doc/fn:collection
+   registry, the optional name index, focus on the context node, then
+   the prolog's global variables (evaluated in order). *)
+let query_context ?(use_index = false) ?(documents = []) ?(collections = [])
+    ?default_collection ~context_node (q : Ast.query) =
+  let module C = Xq_engine.Context in
+  let ctx = C.of_prolog q.Ast.prolog in
+  let ctx =
+    if use_index then
+      C.set_name_index ctx (Xq_engine.Name_index.build context_node)
+    else ctx
+  in
+  let ctx =
+    List.fold_left (fun ctx (uri, d) -> C.add_document ctx ~uri d) ctx documents
+  in
+  let ctx =
+    List.fold_left
+      (fun ctx (name, nodes) -> C.add_collection ctx ~name nodes)
+      ctx collections
+  in
+  let ctx =
+    match default_collection with
+    | Some nodes -> C.set_default_collection ctx nodes
+    | None -> ctx
+  in
+  let ctx =
+    C.with_focus ctx { C.item = Item.Node context_node; position = 1; size = 1 }
+  in
   List.fold_left
-    (fun ctx (v, e) ->
-      Xq_engine.Context.bind_global ctx v (Xq_engine.Eval.eval ctx e))
+    (fun ctx (v, e) -> C.bind_global ctx v (Xq_engine.Eval.eval ctx e))
     ctx q.Ast.prolog.Ast.global_vars
 
-let eval_query ?(check = true) ?(optimize = false) ?strategy ?parallel
-    ~context_node (q : Ast.query) =
+let eval_query ?(check = true) ?optimize ?strategy ?parallel ?use_index
+    ?documents ?collections ?default_collection ~context_node (q : Ast.query) =
   if check then Static.check_query q;
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
-  in
-  let parallel =
-    match parallel with
-    | Some p -> p
-    | None -> Par.default_degree ()
-  in
-  let ctx = query_context ~context_node q in
-  eval_top ~optimize ~strategy ~parallel ctx q.Ast.body
+  within ?optimize ?strategy ?parallel (fun () ->
+      let ctx =
+        query_context ?use_index ?documents ?collections ?default_collection
+          ~context_node q
+      in
+      Xq_engine.Eval.eval ctx q.Ast.body)
 
 let run_string ?optimize ?strategy ?parallel ~context_node src =
   eval_query ?optimize ?strategy ?parallel ~context_node
@@ -854,28 +965,17 @@ let run_string ?optimize ?strategy ?parallel ~context_node src =
    memory pressure sees parse-ahead data; the governor's stream mode
    additionally switches group spilling to the detached by-value codec,
    which is what lets spilled members actually release heap. *)
-let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
+let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
     ?keep_whitespace ~source ~path ~var ~positional (q : Ast.query) =
   if check then Static.check_query q;
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
-  in
-  let parallel =
-    match parallel with
-    | Some p -> p
-    | None -> Par.default_degree ()
-  in
+  within ?optimize ?strategy ?parallel @@ fun () ->
+  let parallel = (current_settings ()).parallel in
   let f =
     match q.Ast.body with
     | Ast.Flwor f -> f
     | _ -> invalid_arg "Exec.eval_query_stream: body is not a FLWOR"
   in
-  let plan = Plan.of_flwor f in
-  let plan = Optimizer.apply_strategy strategy plan in
-  let plan = Optimizer.push_aggregates plan in
-  let plan = if optimize then Optimizer.optimize plan else plan in
+  let plan = plan_of_flwor f in
   let rest =
     match linearize plan.Plan.pipeline with
     | Plan.Unit :: Plan.For_expand { var = v; _ } :: rest when v = var -> rest
@@ -887,27 +987,7 @@ let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
      rejects free context items), so an empty document stands in *)
   let ctx = query_context ~context_node:(Node.document ()) q in
   let batch = Batch.size () in
-  let rev_out = ref [] in
-  let counter = ref 0 in
-  let final =
-    {
-      push =
-        (fun vec ->
-          Array.iter
-            (fun t ->
-              let t =
-                match plan.Plan.return_at with
-                | None -> t
-                | Some v ->
-                  incr counter;
-                  Smap.add v (Xseq.of_int !counter) t
-              in
-              rev_out := eval_in ctx t plan.Plan.return_expr :: !rev_out)
-            vec);
-      close = (fun () -> ());
-      pressure = (fun () -> ());
-    }
-  in
+  let final, result = return_sink ctx plan in
   (* parse-ahead accounting: emitted subtrees stay charged until their
      vector is consumed downstream (whose own accounting then sees them
      via the heap estimate) *)
@@ -1021,4 +1101,4 @@ let eval_query_stream ?(check = true) ?(optimize = false) ?strategy ?parallel
               Xq_xml.Xml_stream.scan ?keep_whitespace ~path ~emit source;
               flush ();
               chain.close ())));
-  Xseq.concat (List.rev !rev_out)
+  result ()

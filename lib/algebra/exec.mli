@@ -1,14 +1,16 @@
-(** Interpreter for {!Plan} operator trees. Expression evaluation is
-    delegated to [Xq_engine.Eval]; tuple-stream mechanics (expansion,
-    selection, sorting, grouping, numbering) run here over the explicit
-    operators, so a plan is exactly what executes. *)
+(** Interpreter for {!Plan} operator trees — the engine's only FLWOR
+    executor. Expression evaluation is delegated to [Xq_engine.Eval];
+    tuple-stream mechanics (expansion, windows, selection, sorting,
+    grouping, numbering) run here over the explicit operators, so a plan
+    is exactly what executes. Initialising this module installs the
+    executor [Eval] hands every FLWOR to, nested ones included. *)
 
 open Xq_xdm
 
-(** Execute a plan in a dynamic context (as built by the engine).
-    [parallel] is the domain-pool degree for grouping and sorting
-    operators (default: [Par.default_degree ()], i.e. [XQ_PARALLEL] or
-    1); output is byte-identical at any degree. *)
+(** Execute a plan in a dynamic context (as built by
+    {!query_context}). [parallel] is the domain-pool degree for
+    grouping and sorting operators (default 1); output is
+    byte-identical at any degree. *)
 val run : ?parallel:int -> Xq_engine.Context.t -> Plan.plan -> Xseq.t
 
 (** {1 Instrumentation}
@@ -73,26 +75,57 @@ val run_profiled :
   Plan.plan ->
   Xseq.t * operator_stat list
 
-(** Build the dynamic context a query executes in: prolog functions, the
-    focus on [context_node], and the prolog's global variables. *)
-val query_context :
-  context_node:Node.t -> Xq_lang.Ast.query -> Xq_engine.Context.t
+(** {1 Whole queries} *)
 
-(** Compile and execute a whole query against a context node — the
-    algebra-backed counterpart of [Xq_engine.Eval.eval_query]: the body's
-    top-level FLWORs (including members of a top-level sequence) execute
-    through {!Plan} operators; FLWORs nested inside other expressions
-    evaluate through the engine, which has identical semantics.
-    [optimize] runs {!Optimizer.optimize} on each compiled plan.
-    [strategy] selects the grouping operator (default: the
-    [XQ_GROUP_STRATEGY] environment variable, else hash). [parallel]
-    sets the domain-pool degree (default: [XQ_PARALLEL], else 1 —
-    sequential); results are byte-identical at any degree. *)
+(** Run [f] with the settings every FLWOR evaluated inside it — top
+    level or nested — compiles and executes under: the grouping
+    [strategy] (default: the [XQ_GROUP_STRATEGY] environment variable,
+    else hash), whether {!Optimizer.optimize} runs on each plan (default
+    off), and the domain-pool degree [parallel] (default
+    [Par.default_degree ()], i.e. [XQ_PARALLEL] or 1). Results are
+    byte-identical under any settings. The settings are per domain;
+    domains the pool spawns inherit them at degree 1. *)
+val within :
+  ?optimize:bool ->
+  ?strategy:Optimizer.group_strategy ->
+  ?parallel:int ->
+  (unit -> 'a) ->
+  'a
+
+(** Compile a FLWOR under the current settings (see {!within}): the
+    clause plan, the grouping strategy, the eager-aggregation pushdown,
+    then the optimizer when enabled. Every FLWOR the engine runs is
+    built here. *)
+val plan_of_flwor : Xq_lang.Ast.flwor -> Plan.plan
+
+(** Build the dynamic context a query executes in: prolog functions,
+    the [fn:doc]/[fn:collection] registry ([documents], [collections],
+    [default_collection]), an element-name index over the context tree
+    when [use_index] (off by default: the paper's experiments are
+    index-free), the focus on [context_node], and the prolog's global
+    variables. *)
+val query_context :
+  ?use_index:bool ->
+  ?documents:(string * Node.t) list ->
+  ?collections:(string * Node.t list) list ->
+  ?default_collection:Node.t list ->
+  context_node:Node.t ->
+  Xq_lang.Ast.query ->
+  Xq_engine.Context.t
+
+(** Check (unless [check] is [false]), build the context
+    ({!query_context}) and evaluate a whole query against a context
+    node; every FLWOR in it runs through {!Plan} operators under the
+    settings {!within} describes. *)
 val eval_query :
   ?check:bool ->
   ?optimize:bool ->
   ?strategy:Optimizer.group_strategy ->
   ?parallel:int ->
+  ?use_index:bool ->
+  ?documents:(string * Node.t) list ->
+  ?collections:(string * Node.t list) list ->
+  ?default_collection:Node.t list ->
   context_node:Node.t ->
   Xq_lang.Ast.query ->
   Xseq.t

@@ -8,9 +8,10 @@
 
     {!compile} translates a FLWOR clause list into an operator tree;
     {!Exec.run} interprets it (delegating expression evaluation to
-    [Xq_engine.Eval]); [Exec.to_string] renders the plan. The test suite
-    proves [Exec.run ∘ compile] agrees with the direct evaluator on the
-    paper's queries and on randomized workloads. *)
+    [Xq_engine.Eval]); {!to_string} renders the plan. Every FLWOR the
+    engine evaluates runs this way; the test suite checks the results
+    against the reference oracle ([Xq_refimpl]) on the paper's queries
+    and on randomized workloads. *)
 
 open Xq_lang
 

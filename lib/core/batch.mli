@@ -8,7 +8,8 @@
     the pre-batching engine operation for operation.
 
     Resolution order: {!set_size} override > [XQ_BATCH] environment
-    variable > default 4096. The value is clamped to [1 .. 2^20]. *)
+    variable (read once, at start-up) > default 4096. The value is
+    clamped to [1 .. 2^20]. *)
 
 val default_size : int
 

@@ -25,7 +25,7 @@ let check q = Xq_lang.Static.check_query q
 
 let run_query ?check ?use_index ?documents ?collections ?default_collection
     doc q =
-  Xq_engine.Eval.eval_query ?check ?use_index ?documents ?collections
+  Xq_algebra.Exec.eval_query ?check ?use_index ?documents ?collections
     ?default_collection ~context_node:doc q
 
 let run ?use_index ?documents ?collections ?default_collection doc src =

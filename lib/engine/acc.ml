@@ -9,6 +9,8 @@ open Xq_xdm
    aggregate applied to the same variable: it tracks the count, the
    numeric running sum (for sum/avg) and the running min/max fold
    side by side, so `<r>{count($v), sum($v)}</r>` needs a single state.
+   Only the folds the slot's aggregates read run; a count-only slot
+   never atomizes a member.
 
    The folds replicate the builtin aggregates exactly, item by item in
    input order — including their error behaviour. Errors do not raise
@@ -42,6 +44,8 @@ type order_err =
 
 type numeric_ty = [ `Int | `Dec | `Dbl ]
 
+type kind = Count | Sum | Avg | Min | Max
+
 type t = {
   mutable n : int;  (* item count; atomization is 1:1, so = value count *)
   mutable total : float;
@@ -55,9 +59,12 @@ type t = {
       (* a dynamic error raised by the nest expression itself for some
          member — re-raised before any group output is pushed, exactly
          when the unrewritten plan's materialization would have *)
+  fold_num : bool;  (* the folds the slot's aggregates read: sum/avg *)
+  fold_min : bool;
+  fold_max : bool;
 }
 
-let create () =
+let create kinds =
   {
     n = 0;
     total = 0.;
@@ -68,6 +75,9 @@ let create () =
     best_max = None;
     max_err = None;
     nest_err = None;
+    fold_num = List.exists (function Sum | Avg -> true | _ -> false) kinds;
+    fold_min = List.mem Min kinds;
+    fold_max = List.mem Max kinds;
   }
 
 let poison_nest acc code msg =
@@ -143,29 +153,32 @@ let step_order ~pick best err a =
 (* Fold one member's value (the nest expression's result for one tuple)
    into the accumulator, item by item in sequence order. *)
 let step acc (seq : Xseq.t) =
-  List.iter
-    (fun item ->
-      let a = Item.atomize item in
-      acc.n <- acc.n + 1;
-      step_numeric acc a;
-      let bmin = ref acc.best_min and emin = ref acc.min_err in
-      step_order ~pick:(fun c -> c < 0) bmin emin a;
-      acc.best_min <- !bmin;
-      acc.min_err <- !emin;
-      let bmax = ref acc.best_max and emax = ref acc.max_err in
-      step_order ~pick:(fun c -> c > 0) bmax emax a;
-      acc.best_max <- !bmax;
-      acc.max_err <- !emax)
-    seq
+  if not (acc.fold_num || acc.fold_min || acc.fold_max) then
+    acc.n <- acc.n + List.length seq
+  else
+    List.iter
+      (fun item ->
+        let a = Item.atomize item in
+        acc.n <- acc.n + 1;
+        if acc.fold_num then step_numeric acc a;
+        if acc.fold_min then begin
+          let bmin = ref acc.best_min and emin = ref acc.min_err in
+          step_order ~pick:(fun c -> c < 0) bmin emin a;
+          acc.best_min <- !bmin;
+          acc.min_err <- !emin
+        end;
+        if acc.fold_max then begin
+          let bmax = ref acc.best_max and emax = ref acc.max_err in
+          step_order ~pick:(fun c -> c > 0) bmax emax a;
+          acc.best_max <- !bmax;
+          acc.max_err <- !emax
+        end)
+      seq
 
 (* Merge a later partial into an earlier one (spill re-encounter).
    Earlier state wins every sticky error; the later best folds in as one
    comparison step. Mutates and returns [a]. *)
 let merge a b =
-  a.n <- a.n + b.n;
-  a.total <- a.total +. b.total;
-  a.ty <- join_ty a.ty b.ty;
-  if a.num_err = None then a.num_err <- b.num_err;
   let merge_order ~pick best err b_best b_err =
     if !err = None then begin
       (match b_best with
@@ -186,20 +199,28 @@ let merge a b =
       if !err = None then err := b_err
     end
   in
-  let bmin = ref a.best_min and emin = ref a.min_err in
-  merge_order ~pick:(fun c -> c < 0) bmin emin b.best_min b.min_err;
-  a.best_min <- !bmin;
-  a.min_err <- !emin;
-  let bmax = ref a.best_max and emax = ref a.max_err in
-  merge_order ~pick:(fun c -> c > 0) bmax emax b.best_max b.max_err;
-  a.best_max <- !bmax;
-  a.max_err <- !emax;
+  a.n <- a.n + b.n;
   if a.nest_err = None then a.nest_err <- b.nest_err;
+  if a.fold_num then begin
+    a.total <- a.total +. b.total;
+    a.ty <- join_ty a.ty b.ty;
+    if a.num_err = None then a.num_err <- b.num_err
+  end;
+  if a.fold_min then begin
+    let bmin = ref a.best_min and emin = ref a.min_err in
+    merge_order ~pick:(fun c -> c < 0) bmin emin b.best_min b.min_err;
+    a.best_min <- !bmin;
+    a.min_err <- !emin
+  end;
+  if a.fold_max then begin
+    let bmax = ref a.best_max and emax = ref a.max_err in
+    merge_order ~pick:(fun c -> c > 0) bmax emax b.best_max b.max_err;
+    a.best_max <- !bmax;
+    a.max_err <- !emax
+  end;
   a
 
 (* --- finishing ---------------------------------------------------------- *)
-
-type kind = Count | Sum | Avg | Min | Max
 
 let kind_name = function
   | Count -> "count"
@@ -349,7 +370,8 @@ let encode buf acc =
   Binio.put_opt put_order_err buf acc.max_err;
   Binio.put_opt put_nest_err buf acc.nest_err
 
-let decode r =
+let decode kinds r =
+  let fresh = create kinds in
   let n = Binio.get_varint r in
   if n < 0 then raise (Binio.Corrupt "negative accumulator count");
   let total = Binio.get_float r in
@@ -366,7 +388,7 @@ let decode r =
   let best_max = Binio.get_opt Binio.get_atom r in
   let max_err = Binio.get_opt get_order_err r in
   let nest_err = Binio.get_opt get_nest_err r in
-  { n; total; ty; num_err; best_min; min_err; best_max; max_err; nest_err }
+  { fresh with n; total; ty; num_err; best_min; min_err; best_max; max_err; nest_err }
 
 (* Rough live-heap bytes one accumulator pins — what the governor is
    charged per retained group in place of the member-list bytes. *)

@@ -21,7 +21,13 @@ open Xq_xdm
 
 type t
 
-val create : unit -> t
+(** Which aggregate a call site applies. *)
+type kind = Count | Sum | Avg | Min | Max
+
+(** A fresh accumulator for a slot whose aggregates are [kinds]. Folds
+    none of [kinds] reads are skipped: a count-only slot counts members
+    without atomizing them. *)
+val create : kind list -> t
 
 (** Fold one member's value (the nest expression's result for one
     tuple) into the accumulator, item by item in sequence order. Never
@@ -40,9 +46,6 @@ val nest_err : t -> (Xerror.code * string) option
     and returns [earlier]. *)
 val merge : t -> t -> t
 
-(** Which aggregate a call site applies. *)
-type kind = Count | Sum | Avg | Min | Max
-
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
 
@@ -54,10 +57,11 @@ val finish : t -> kind -> (Xseq.t, Xerror.code * string) result
 
     Accumulators are plain atoms and strings — no node references — so
     the codec needs no registry. [decode] raises [Binio.Corrupt] on any
-    out-of-range tag, negative count or torn payload. *)
+    out-of-range tag, negative count or torn payload. [kinds] is the
+    slot's, as given to {!create} (it is not encoded). *)
 
 val encode : Buffer.t -> t -> unit
-val decode : Binio.reader -> t
+val decode : kind list -> Binio.reader -> t
 
 (** Rough live-heap bytes one accumulator pins (the governor's charge
     per retained group, replacing the member-list bytes). *)

@@ -22,8 +22,8 @@ type t
 val empty : t
 
 (** Build a context from a query prolog: registers declared functions;
-    global variables are evaluated later by the engine (see
-    {!Eval.eval_query}). *)
+    global variables are evaluated later, when the executor builds the
+    query's context ([Xq_algebra.Exec.query_context]). *)
 val of_prolog : Ast.prolog -> t
 
 val ordering : t -> Ast.ordering_mode

@@ -1,12 +1,20 @@
-(** The tuple-stream evaluator: XQuery expressions plus the paper's
-    extensions ([group by]/[nest]/[using], post-group [let]/[where],
-    [nest … order by], [return at]). *)
+(** The expression evaluator: XQuery expressions, paths, constructors
+    and calls. FLWOR expressions (with the paper's [group by]/[nest]
+    extensions) are not evaluated here: every one, nested ones included,
+    is handed to the executor the plan algebra installs
+    ({!set_flwor_executor}), so there is exactly one tuple-stream
+    engine. *)
 
 open Xq_xdm
 open Xq_lang
 
-(** Evaluate an expression in a context. *)
+(** Evaluate an expression in a context. Raises [Failure] on a FLWOR
+    when no executor has been installed. *)
 val eval : Context.t -> Ast.expr -> Xseq.t
+
+(** Install the FLWOR executor. [Xq_algebra.Exec] calls this once, when
+    it is initialised. *)
+val set_flwor_executor : (Context.t -> Ast.flwor -> Xseq.t) -> unit
 
 (** True when evaluating the expression concurrently on several domains
     is safe: it constructs no nodes (node ids come from a global
@@ -14,42 +22,3 @@ val eval : Context.t -> Ast.expr -> Xseq.t
     registry-reading or tracing builtins. Conservative — used to decide
     whether grouping may evaluate key expressions on the {!Par} pool. *)
 val parallel_safe : Context.t -> Ast.expr -> bool
-
-(** Expand one FLWOR tuple (as variable/value bindings) into one tuple
-    per window of the clause — exposed for the algebra executor so both
-    back ends share the XQuery 3.0 window semantics. *)
-val expand_window_bindings :
-  Context.t ->
-  Ast.window_clause ->
-  (string * Xseq.t) list ->
-  (string * Xseq.t) list list
-
-(** Evaluate a full query against a context node (usually a document):
-    builds the context from the prolog, evaluates the global variables,
-    sets the focus to the context node and evaluates the body. Runs
-    {!Static.check_query} first unless [check] is [false].
-
-    [documents], [collections] and [default_collection] populate the
-    dynamic context's registry behind [fn:doc] and [fn:collection].
-    [use_index] builds a {!Name_index} over the context tree and lets the
-    evaluator answer [//name] from it (off by default: the paper's
-    experiments are index-free). *)
-val eval_query :
-  ?check:bool ->
-  ?use_index:bool ->
-  ?documents:(string * Node.t) list ->
-  ?collections:(string * Node.t list) list ->
-  ?default_collection:Node.t list ->
-  context_node:Node.t ->
-  Ast.query ->
-  Xseq.t
-
-(** Parse, check and evaluate a query string against a context node. *)
-val run :
-  ?use_index:bool ->
-  ?documents:(string * Node.t) list ->
-  ?collections:(string * Node.t list) list ->
-  ?default_collection:Node.t list ->
-  context_node:Node.t ->
-  string ->
-  Xseq.t

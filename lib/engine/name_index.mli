@@ -2,7 +2,7 @@
     order. System RX-style engines answer [//name] from such an index
     instead of walking the tree; the paper's experiments explicitly
     disable indexes, so the evaluator only uses this when the caller
-    opts in (see [Eval.eval_query ~use_index] and the index ablation
+    opts in (see [Xq_algebra.Exec.eval_query ~use_index] and the index ablation
     bench). *)
 
 open Xq_xdm

@@ -1,5 +1,5 @@
-(** Window boundary computation shared by the evaluator and the algebra
-    executor — the XQuery 3.0 tumbling/sliding semantics over a
+(** Window boundary computation for the algebra executor's window
+    operator — the XQuery 3.0 tumbling/sliding semantics over a
     materialized item sequence.
 
     The caller supplies the start/end predicates as closures over

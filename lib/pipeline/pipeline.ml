@@ -1,9 +1,4 @@
-(* The shared compile-and-run pipeline. See pipeline.mli.
-
-   Execution dispatch preserves the historical front-end paths exactly:
-   no strategy = the direct tuple-stream evaluator, an explicit
-   strategy = the plan algebra — so collapsing the CLI, REPL, fuzzer
-   and server onto this module changes no byte of any output. *)
+(* The shared compile-and-run pipeline. See pipeline.mli. *)
 
 module Governor = Xq_governor.Governor
 module Optimizer = Xq_algebra.Optimizer
@@ -64,32 +59,21 @@ let source c = c.c_source
 let cache_key ~knobs source =
   let strategy =
     match knobs.k_strategy with
-    | None -> "direct"
-    | Some s -> Optimizer.strategy_to_string s
-  in
-  let env_strategy =
-    (* the environment default that [Exec] would consult if a caller
-       ever routed to the plan layer without an explicit strategy *)
-    match Sys.getenv_opt "XQ_GROUP_STRATEGY" with Some s -> s | None -> ""
+    | Some s -> s
+    | None -> Optimizer.strategy_from_env ()
   in
   let field s = Printf.sprintf "%d:%s" (String.length s) s in
   String.concat ""
     [
-      field strategy;
+      field (Optimizer.strategy_to_string strategy);
       field (if knobs.k_rewrite then "rw" else "");
       field (if knobs.k_use_index then "ix" else "");
-      field env_strategy;
       field source;
     ]
 
-let eval ?(use_index = false) ?strategy ?parallel ~doc c =
-  match strategy with
-  | Some s ->
-    Xq_algebra.Exec.eval_query ~check:false ~strategy:s ?parallel
-      ~context_node:doc c.c_query
-  | None ->
-    Xq_engine.Eval.eval_query ~check:false ~use_index ~context_node:doc
-      c.c_query
+let eval ?use_index ?strategy ?parallel ~doc c =
+  Xq_algebra.Exec.eval_query ~check:false ?use_index ?strategy ?parallel
+    ~context_node:doc c.c_query
 
 let render ?indent seq = Xq_xml.Serialize.sequence ?indent seq
 
@@ -196,19 +180,14 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
       in
       match streamed with
       | Some (src, compiled, path, var, positional) ->
-        let strategy =
-          match knobs.k_strategy with
-          | Some s -> s
-          | None -> Optimizer.strategy_from_env ()
-        in
         (* same contract as the materialized path's post-parse
            rebaseline: --max-mem budgets the query's own work, not the
            startup heap (streamed input is charged as parse-ahead) *)
         (match gov with Some g -> Governor.rebaseline g | None -> ());
         let t0 = Sys.time () in
         let result =
-          Xq_algebra.Exec.eval_query_stream ~check:false ~strategy
-            ?parallel:knobs.k_parallel ~source:src ~path ~var ~positional
+          Xq_algebra.Exec.eval_query_stream ~check:false
+            ?strategy:knobs.k_strategy ?parallel:knobs.k_parallel ~source:src ~path ~var ~positional
             compiled.c_query
         in
         let elapsed = (Sys.time () -. t0) *. 1000.0 in

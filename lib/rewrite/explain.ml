@@ -243,23 +243,16 @@ let analyzed ?(timings = true) (plan : Plan.plan) (stats : Exec.Stats.t) =
     go 1 plan.Plan.pipeline outer_first;
     Buffer.contents buf
 
-let analyze_query ?(timings = true) ?(optimize = false) ?strategy ?parallel
+let analyze_query ?(timings = true) ?optimize ?strategy ?parallel
     ~context_node (q : Ast.query) =
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
-  in
+  Exec.within ?optimize ?strategy ?parallel @@ fun () ->
   let ctx = Exec.query_context ~context_node q in
   let buf = Buffer.create 256 in
   let total = ref 0 in
   let rec go (e : Ast.expr) =
     match e with
     | Flwor f ->
-      let plan = Plan.of_flwor f in
-      let plan = Optimizer.apply_strategy strategy plan in
-      let plan = Optimizer.push_aggregates plan in
-      let plan = if optimize then Optimizer.optimize plan else plan in
+      let plan = Exec.plan_of_flwor f in
       let result, stats = Exec.run_instrumented ?parallel ctx plan in
       total := !total + List.length result;
       (* pushdown annotation before the plan it reshaped, only when it

@@ -1,6 +1,6 @@
 (** Textual evaluation-plan explanations.
 
-    Describes how the tuple-stream evaluator will execute a query: the
+    Describes how the plan executor will execute a query: the
     clause pipeline of every FLWOR, which grouping strategy applies (one
     hash pass for default deep-equal keys, a comparator scan when any key
     has [using]), count-optimized nests, sorts — and flags FLWORs that
@@ -25,8 +25,10 @@ val analyzed :
   ?timings:bool -> Xq_algebra.Plan.plan -> Xq_algebra.Exec.Stats.t -> string
 
 (** Compile, execute and render every top-level FLWOR of the query body
-    (non-FLWOR parts evaluate directly and are noted as such), ending
-    with the total result cardinality. [strategy] defaults to
+    (other parts are evaluated without a rendered plan and noted as
+    such; FLWORs nested inside any part run through plans under the
+    same settings but are not rendered), ending with the total result
+    cardinality. [strategy] defaults to
     [XQ_GROUP_STRATEGY] (else hash); [optimize] runs the plan
     optimizer first; [parallel] sets the domain-pool degree (default
     [XQ_PARALLEL], else 1). *)

@@ -1,9 +1,9 @@
 (** LRU cache of compiled query plans for the query server.
 
     Entries are keyed on {!Xq_pipeline.Pipeline.cache_key} — query text
-    × strategy × rewrite/index flags × the [XQ_GROUP_STRATEGY]
-    environment default — so two requests share a plan exactly when
-    they would compile to the same thing. Capacity is a bounded entry
+    × the resolved strategy (the [XQ_GROUP_STRATEGY] default when the
+    request names none) × rewrite/index flags — so two requests share a
+    plan exactly when they would compile to the same thing. Capacity is a bounded entry
     count with least-recently-used eviction; resident bytes (an
     estimate — the AST is roughly proportional to the source) are
     charged against an optional accounting governor so the server's

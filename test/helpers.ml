@@ -6,16 +6,20 @@ open Xq_xdm
    result (compact form). *)
 let run_xml ~data query =
   let doc = Xq_xml.Xml_parse.parse data in
-  Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc query)
+  Xq_xml.Serialize.sequence (Xq_algebra.Exec.run_string ~context_node:doc query)
 
 (* Run against an already-built document node. *)
 let run_on doc query =
-  Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc query)
+  Xq_xml.Serialize.sequence (Xq_algebra.Exec.run_string ~context_node:doc query)
 
 (* Run and return the raw sequence. *)
 let run_seq ~data query =
   let doc = Xq_xml.Xml_parse.parse data in
-  Xq_engine.Eval.run ~context_node:doc query
+  Xq_algebra.Exec.run_string ~context_node:doc query
+
+(* The independent reference: the naive oracle's serialized result. *)
+let oracle_on doc query =
+  Xq_xml.Serialize.sequence (Xq_refimpl.Refimpl.run ~context_node:doc query)
 
 let check_query ~data query expected name =
   Alcotest.(check string) name expected (run_xml ~data query)

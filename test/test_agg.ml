@@ -71,12 +71,25 @@ let gen_edge_atom : Atomic.t QCheck.Gen.t =
           ] );
     ]
 
+(* An element node whose string value is an edge atom's lexical form:
+   members are usually nodes in real queries ([nest $l into $items]). *)
+let node_of_atom a =
+  let el = Node.element (Xname.make "v") in
+  Node.append_child el (Node.text (Atomic.to_string a));
+  Item.Node el
+
 (* A group's member values: a list of per-tuple sequences, some empty —
-   the per-member-empty case must vanish without a trace. *)
+   the per-member-empty case must vanish without a trace — mixing
+   atomics and nodes. *)
 let gen_members : Xseq.t list QCheck.Gen.t =
   let open QCheck.Gen in
   list_size (int_bound 12)
-    (list_size (int_bound 3) (map (fun a -> Item.Atomic a) gen_edge_atom))
+    (list_size (int_bound 3)
+       (frequency
+          [
+            (4, map (fun a -> Item.Atomic a) gen_edge_atom);
+            (1, map node_of_atom gen_edge_atom);
+          ]))
 
 let arb_members =
   QCheck.make
@@ -84,7 +97,7 @@ let arb_members =
     gen_members
 
 let acc_of members =
-  let acc = Acc.create () in
+  let acc = Acc.create all_kinds in
   List.iter (Acc.step acc) members;
   acc
 
@@ -112,10 +125,14 @@ let acc_props =
       arb_members
       (fun members ->
         let acc = acc_of members in
-        List.for_all
-          (fun kind ->
-            same_outcome (Acc.finish acc kind) (reference kind members))
-          all_kinds);
+        (* a count-only slot skips atomization and the other folds *)
+        let count_only = Acc.create [ Acc.Count ] in
+        List.iter (Acc.step count_only) members;
+        same_outcome (Acc.finish count_only Acc.Count) (reference Acc.Count members)
+        && List.for_all
+             (fun kind ->
+               same_outcome (Acc.finish acc kind) (reference kind members))
+             all_kinds);
     QCheck.Test.make ~count:400
       ~name:"error messages match the builtins' too" arb_members
       (fun members ->
@@ -155,7 +172,7 @@ let acc_props =
 let acc_unit_tests =
   [
     test "an empty group: count 0, sum 0, avg/min/max empty" (fun () ->
-        let acc = Acc.create () in
+        let acc = Acc.create all_kinds in
         check_bool "count" true
           (Acc.finish acc Acc.Count = Ok [ Item.of_int 0 ]);
         check_bool "sum" true (Acc.finish acc Acc.Sum = Ok [ Item.of_int 0 ]);
@@ -265,11 +282,9 @@ let differential_tests =
         for seed = 1 to diff_seeds do
           let rng = Prng.create (0xa66 + seed) in
           let doc = random_doc rng in
-          (* the engine evaluator: never sees the plan layer or the
-             rewrite — the ground truth for both settings *)
-          let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc agg_query)
-          in
+          (* the oracle: never sees the plan layer or the rewrite — the
+             ground truth for both settings *)
+          let expected = oracle_on doc agg_query in
           List.iter
             (fun (slabel, strategy) ->
               List.iter
@@ -362,7 +377,7 @@ let spill_props =
         let acc = acc_of members in
         let buf = Buffer.create 64 in
         Acc.encode buf acc;
-        let acc' = Acc.decode (Binio.reader (Buffer.contents buf)) in
+        let acc' = Acc.decode all_kinds (Binio.reader (Buffer.contents buf)) in
         List.for_all
           (fun kind ->
             match Acc.finish acc kind, Acc.finish acc' kind with
@@ -383,7 +398,7 @@ let spill_props =
         let whole = Buffer.contents buf in
         let ok = ref true in
         for cut = 0 to String.length whole - 1 do
-          (match Acc.decode (Binio.reader (String.sub whole 0 cut)) with
+          (match Acc.decode all_kinds (Binio.reader (String.sub whole 0 cut)) with
            | (_ : Acc.t) -> ok := false
            | exception Binio.Corrupt _ -> ())
         done;
@@ -395,13 +410,13 @@ let spill_unit_tests =
     test "a negative count is corrupt" (fun () ->
         let buf = Buffer.create 16 in
         Binio.put_varint buf (-1);
-        expect_corrupt (fun () -> Acc.decode (Binio.reader (Buffer.contents buf))));
+        expect_corrupt (fun () -> Acc.decode all_kinds (Binio.reader (Buffer.contents buf))));
     test "an out-of-range numeric-type tag is corrupt" (fun () ->
         let buf = Buffer.create 16 in
         Binio.put_varint buf 1;
         Binio.put_float buf 1.0;
         Binio.put_varint buf 7;
-        expect_corrupt (fun () -> Acc.decode (Binio.reader (Buffer.contents buf))));
+        expect_corrupt (fun () -> Acc.decode all_kinds (Binio.reader (Buffer.contents buf))));
     test "an out-of-range error tag is corrupt" (fun () ->
         let buf = Buffer.create 16 in
         Binio.put_varint buf 1;
@@ -410,7 +425,7 @@ let spill_unit_tests =
         (* num_err present, with a tag the codec never writes *)
         Binio.put_varint buf 1;
         Binio.put_varint buf 9;
-        expect_corrupt (fun () -> Acc.decode (Binio.reader (Buffer.contents buf))));
+        expect_corrupt (fun () -> Acc.decode all_kinds (Binio.reader (Buffer.contents buf))));
     test "an unknown nest-error code is corrupt" (fun () ->
         let acc = acc_of [ [ Item.Atomic (Atomic.Int 1) ] ] in
         Acc.poison_nest acc Xerror.FOAR0001 "division by zero";
@@ -420,7 +435,7 @@ let spill_unit_tests =
         (* the encoded code string "FOAR0001" holds the only 'F' in the
            frame; flip it to something code_of_string cannot resolve *)
         let mangled = String.map (function 'F' -> 'Z' | c -> c) whole in
-        expect_corrupt (fun () -> Acc.decode (Binio.reader mangled)));
+        expect_corrupt (fun () -> Acc.decode all_kinds (Binio.reader mangled)));
     test "spilled corrupt frames fail closed as XQENG0006 end-to-end"
       (fun () ->
         (* the group layer converts Binio.Corrupt from any spill codec

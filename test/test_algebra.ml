@@ -1,6 +1,6 @@
 (* Tests for the physical operator algebra: compilation shapes,
-   execution ≡ direct evaluation (paper queries + randomized data), and
-   plan rendering. *)
+   execution ≡ the reference oracle (paper queries + randomized data),
+   and plan rendering. *)
 
 open Xq_lang
 open Helpers
@@ -128,20 +128,21 @@ let equivalence_queries =
       "for $b in //book order by $b/title return string($b/title)" );
   ]
 
+(* Queries outside the oracle's subset (prolog functions) compare
+   against the output the retired tuple-list evaluator produced. *)
+let committed = [ ("set-equal", "1 1 1 1 1") ]
+
 let equivalence_tests =
   List.map
     (fun (name, data, query) ->
       test (Printf.sprintf "algebra ≡ eval: %s" name) (fun () ->
           let doc = Xq_xml.Xml_parse.parse data in
-          let direct =
-            Xq_xml.Serialize.sequence
-              (Xq_engine.Eval.run ~context_node:doc query)
+          let expected =
+            match List.assoc_opt name committed with
+            | Some out -> out
+            | None -> oracle_on doc query
           in
-          let algebra =
-            Xq_xml.Serialize.sequence
-              (Xq_algebra.Exec.run_string ~context_node:doc query)
-          in
-          check_string name direct algebra))
+          check_string name expected (run_on doc query)))
     equivalence_queries
 
 let property_tests =
@@ -166,9 +167,7 @@ let property_tests =
              "for $i in //i group by $i/k into $k nest $i/v into $vs count \
               $c order by number($k) return <g>{$c, $k, sum($vs)}</g>"
            in
-           Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:doc q)
-           = Xq_xml.Serialize.sequence
-               (Xq_algebra.Exec.run_string ~context_node:doc q)));
+           oracle_on doc q = run_on doc q));
   ]
 
 (* --- the plan optimizer --------------------------------------------------- *)

@@ -16,8 +16,7 @@ let doc_of s = Xq_xml.Xml_parse.parse s
 let run_with ?documents ?collections ?default_collection q =
   let empty = doc_of "<empty/>" in
   Xq_xml.Serialize.sequence
-    (Xq_engine.Eval.run ?documents ?collections ?default_collection
-       ~context_node:empty q)
+    (Xq.run ?documents ?collections ?default_collection empty q)
 
 let doc_tests =
   [

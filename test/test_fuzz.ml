@@ -55,7 +55,11 @@ let sampled_configs_deterministic () =
   Alcotest.(check (list string)) "same matrix"
     (List.map Fuzz.config_label a)
     (List.map Fuzz.config_label b);
-  Alcotest.(check int) "base + three sampled" 11 (List.length a)
+  Alcotest.(check int) "base + three sampled"
+    (List.length Fuzz.base_configs + 3)
+    (List.length a);
+  Alcotest.(check int) "seven base configurations" 7
+    (List.length Fuzz.base_configs)
 
 (* --- order pinning and agreement ----------------------------------------- *)
 

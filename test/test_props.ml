@@ -255,7 +255,7 @@ let arb_pairs =
 let run_ints doc q =
   List.map
     (fun it -> int_of_string (Item.string_value it))
-    (Xq_engine.Eval.run ~context_node:doc q)
+    (Xq_algebra.Exec.run_string ~context_node:doc q)
 
 let grouping_props =
   [
@@ -289,13 +289,13 @@ let grouping_props =
         let doc = doc_of_pairs pairs in
         let explicit =
           Xq_xml.Serialize.sequence
-            (Xq_engine.Eval.run ~context_node:doc
+            (Xq_algebra.Exec.run_string ~context_node:doc
                "for $i in //i group by $i/k into $k nest $i into $is order by \
                 number($k) return <g>{string($k)}:{count($is)}</g>")
         in
         let implicit =
           Xq_xml.Serialize.sequence
-            (Xq_engine.Eval.run ~context_node:doc
+            (Xq_algebra.Exec.run_string ~context_node:doc
                "for $k in distinct-values(//i/k) let $is := //i[k = $k] order \
                 by number($k) return <g>{string($k)}:{count($is)}</g>")
         in
@@ -320,11 +320,11 @@ let grouping_props =
              number($k) return <g>{string($k)}:{count($is)}</g>"
         in
         let plain =
-          Xq_xml.Serialize.sequence (Xq_engine.Eval.eval_query ~context_node:doc q)
+          Xq_xml.Serialize.sequence (Xq_algebra.Exec.eval_query ~context_node:doc q)
         in
         let optimized =
           Xq_xml.Serialize.sequence
-            (Xq_engine.Eval.eval_query ~context_node:doc
+            (Xq_algebra.Exec.eval_query ~context_node:doc
                (Xq_rewrite.Rewrite.optimize_counts_query q))
         in
         plain = optimized);
@@ -340,9 +340,8 @@ let grouping_props =
         Xq_xdm.Node.append_child d copy;
         List.for_all
           (fun q ->
-            Xq_xml.Serialize.sequence (Xq_engine.Eval.run ~context_node:d q)
-            = Xq_xml.Serialize.sequence
-                (Xq_engine.Eval.run ~use_index:true ~context_node:d q))
+            Xq_xml.Serialize.sequence (Xq.run d q)
+            = Xq_xml.Serialize.sequence (Xq.run ~use_index:true d q))
           [ "count(//a)"; "count(//item)"; "for $x in //b return count($x/*)" ]);
     QCheck.Test.make ~count:200 ~name:"order by sorts like List.sort"
       (QCheck.make QCheck.Gen.(list_size (int_range 0 30) (int_range (-50) 50)))

@@ -64,7 +64,6 @@ let test_plan_cache_keying () =
   (* distinct strategies and flags must not share a slot, and the
      XQ_GROUP_STRATEGY environment default is part of the key *)
   let source = "for $x in /a/b return $x" in
-  let k_direct = Pipeline.cache_key ~knobs source in
   let k_hash =
     Pipeline.cache_key
       ~knobs:{ knobs with Pipeline.k_strategy = Some Xq_algebra.Optimizer.Hash }
@@ -81,23 +80,30 @@ let test_plan_cache_keying () =
   let k_ix =
     Pipeline.cache_key ~knobs:{ knobs with Pipeline.k_use_index = true } source
   in
-  let keys = [ k_direct; k_hash; k_sort; k_rw; k_ix ] in
+  let keys = [ k_hash; k_sort; k_rw; k_ix ] in
   Alcotest.(check int)
     "all keys distinct"
     (List.length keys)
     (List.length (List.sort_uniq compare keys));
+  (* no strategy keys on the one the environment resolves it to *)
   let saved = Sys.getenv_opt "XQ_GROUP_STRATEGY" in
-  Unix.putenv "XQ_GROUP_STRATEGY" "sort";
-  let k_env = Pipeline.cache_key ~knobs source in
+  let key_under env =
+    Unix.putenv "XQ_GROUP_STRATEGY" env;
+    Pipeline.cache_key ~knobs source
+  in
+  let k_env_sort = key_under "sort" in
+  let k_env_hash = key_under "hash" in
   (match saved with
    | Some v -> Unix.putenv "XQ_GROUP_STRATEGY" v
    | None -> Unix.putenv "XQ_GROUP_STRATEGY" "");
-  Alcotest.(check bool) "env default changes the key" true (k_env <> k_direct);
+  Alcotest.(check bool) "env default changes the key" true
+    (k_env_sort <> k_env_hash);
+  Alcotest.(check string) "env default keys as its strategy" k_sort k_env_sort;
   (* and the key is injective against crafted query text: a query whose
      text embeds another key's rendering must not collide *)
-  let k_sneaky = Pipeline.cache_key ~knobs k_direct in
+  let k_sneaky = Pipeline.cache_key ~knobs k_hash in
   Alcotest.(check bool) "length-prefixing defeats embedding" true
-    (k_sneaky <> k_direct)
+    (k_sneaky <> k_hash)
 
 let test_plan_cache_counters () =
   let house = Governor.create () in
@@ -159,7 +165,7 @@ let test_doc_store_sharing_and_invalidation () =
       Alcotest.(check int) "still one entry" 1 s.Doc_store.d_entries;
       let got =
         Xq_xml.Serialize.sequence
-          (Xq_engine.Eval.eval_query ~context_node:d3
+          (Xq_algebra.Exec.eval_query ~context_node:d3
              (Xq_lang.Parser.parse_query "fn:count(/a/*)"))
       in
       Alcotest.(check string) "fresh content served" "2" got)
@@ -188,7 +194,7 @@ let test_doc_store_rename_swap () =
       Alcotest.(check bool) "swap reparsed" true (d1 != d2);
       let got =
         Xq_xml.Serialize.sequence
-          (Xq_engine.Eval.eval_query ~context_node:d2
+          (Xq_algebra.Exec.eval_query ~context_node:d2
              (Xq_lang.Parser.parse_query "string(/a/b)"))
       in
       Alcotest.(check string) "swapped content served" "2" got;

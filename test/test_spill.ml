@@ -358,9 +358,7 @@ let differential_tests =
         for seed = 1 to diff_seeds do
           let rng = Prng.create (0x5b111 + seed) in
           let doc = random_doc rng in
-          let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc diff_query)
-          in
+          let expected = oracle_on doc diff_query in
           List.iter
             (fun (slabel, strategy) ->
               List.iter
@@ -446,9 +444,7 @@ let fault_tests =
         for seed = 1 to fault_seeds do
           let rng = Prng.create (0x10fa + seed) in
           let doc = random_doc rng in
-          let expected =
-            serialize (Xq_engine.Eval.run ~context_node:doc diff_query)
-          in
+          let expected = oracle_on doc diff_query in
           (* These docs see ~10× the tick points of the governor fault
              suite, plus spill I/O: sweep the rate from survivable to
              lethal so both outcomes occur. *)

@@ -1,5 +1,5 @@
 (* Cross-strategy differential tests: the same randomized workloads run
-   through the direct evaluator and through the plan executor under every
+   through the reference oracle and through the plan executor under every
    grouping strategy (hash / sort / auto with sort fusion), and must
    serialize identically.  Plus direct unit tests of the grouping
    operators: forced hash collisions, comparator-scan grouping, and the
@@ -79,7 +79,7 @@ let differential name query =
       for seed = 0 to seeds - 1 do
         let rng = Prng.create (0x5eed + seed) in
         let doc = random_doc rng in
-        let expected = serialize (Xq_engine.Eval.run ~context_node:doc query) in
+        let expected = oracle_on doc query in
         List.iter
           (fun (label, strategy) ->
             List.iter
@@ -130,9 +130,7 @@ let batch_differential name query =
             let rng = Prng.create (0xba7c4 + seed) in
             let doc = random_doc rng in
             Xq_par.Batch.set_size None;
-            let expected =
-              serialize (Xq_engine.Eval.run ~context_node:doc query)
-            in
+            let expected = oracle_on doc query in
             List.iter
               (fun batch ->
                 Xq_par.Batch.set_size batch;
