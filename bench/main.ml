@@ -446,48 +446,37 @@ return <r>{$a, count($items)}</r>|}
   let query = Xq.parse q_src in
   Xq.check query;
   let sizes = if full then [ 8_000; 16_000; 32_000 ] else [ 8_000; 16_000 ] in
-  let configure = function
-    | `Item ->
-      Xq.Batch.set_size (Some 1);
-      Xq.Engine.Key.set_interning_available false;
-      Xq.Algebra.Optimizer.set_estimate_feedback false
-    | `Batched ->
-      Xq.Batch.set_size None;
-      Xq.Engine.Key.set_interning_available true;
-      Xq.Algebra.Optimizer.set_estimate_feedback true
-  in
-  Fun.protect
-    ~finally:(fun () -> configure `Batched)
-    (fun () ->
-      List.iter
-        (fun (tax_card, lineitems) ->
-          let doc = orders_doc ~tax_card lineitems in
-          let groups =
-            Xq.length
-              (Xq.Algebra.Exec.eval_query ~check:false ~context_node:doc query)
-          in
-          let measure mode label =
-            configure mode;
-            let ms =
-              Timing.measure_ms ~runs:3 (fun () ->
-                  Xq.Algebra.Exec.eval_query ~check:false
-                    ~strategy:Xq.Algebra.Optimizer.Hash ~context_node:doc
-                    query)
-            in
-            (* record's batch default reads the size [configure] set *)
-            record ~bench:"ablation-batch" ~query:"tax-group-order"
-              ~size:lineitems ~groups ~strategy:label ~parallel:1 ~ms ();
-            ms
-          in
-          let t_item = measure `Item "hash-item" in
-          let t_batched = measure `Batched "hash-batched" in
-          Printf.printf
-            "tax_card=%4d n=%6d groups=%4d  item-at-a-time=%10s  \
-             batched(%d)=%10s  speedup %.2fx\n%!"
-            tax_card lineitems groups (Timing.fmt_ms t_item)
-            (Xq.Batch.size ()) (Timing.fmt_ms t_batched)
-            (t_item /. t_batched))
-        (List.map (fun n -> (100, n)) sizes))
+  List.iter
+    (fun (tax_card, lineitems) ->
+      let doc = orders_doc ~tax_card lineitems in
+      let groups =
+        Xq.length
+          (Xq.Algebra.Exec.eval_query ~check:false ~context_node:doc query)
+      in
+      (* batch size 1 also turns off key interning and the presize
+         feedback, so it is the whole pre-batching executor *)
+      let measure batch label =
+        Xq.Config.with_knobs { Xq.Config.default_knobs with k_batch = batch }
+        @@ fun () ->
+        let ms =
+          Timing.measure_ms ~runs:3 (fun () ->
+              Xq.Algebra.Exec.eval_query ~check:false
+                ~strategy:Xq.Algebra.Optimizer.Hash ~context_node:doc query)
+        in
+        (* record's batch default reads the size this scope installs *)
+        record ~bench:"ablation-batch" ~query:"tax-group-order"
+          ~size:lineitems ~groups ~strategy:label ~parallel:1 ~ms ();
+        ms
+      in
+      let t_item = measure (Some 1) "hash-item" in
+      let t_batched = measure None "hash-batched" in
+      Printf.printf
+        "tax_card=%4d n=%6d groups=%4d  item-at-a-time=%10s  \
+         batched(%d)=%10s  speedup %.2fx\n%!"
+        tax_card lineitems groups (Timing.fmt_ms t_item)
+        (Xq.Batch.size ()) (Timing.fmt_ms t_batched)
+        (t_item /. t_batched))
+    (List.map (fun n -> (100, n)) sizes)
 
 (* --- Ablation J: resource-governor overhead ------------------------------------ *)
 
@@ -840,12 +829,9 @@ let ablation_agg () =
   let q = Xq.parse (Queries.q_agg "tax") in
   Xq.check qgb;
   Xq.check q;
-  let with_pushdown enabled f =
-    let saved = Xq.Algebra.Optimizer.agg_pushdown_on () in
-    Xq.Algebra.Optimizer.set_agg_pushdown enabled;
-    Fun.protect
-      ~finally:(fun () -> Xq.Algebra.Optimizer.set_agg_pushdown saved)
-      f
+  let with_pushdown enabled =
+    Xq.Config.with_knobs
+      { Xq.Config.default_knobs with k_agg_pushdown = Some enabled }
   in
   let watermark = 256 * 1024 in
   let strategy = Xq.Algebra.Optimizer.Hash in

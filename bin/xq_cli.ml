@@ -32,24 +32,13 @@ let with_errors f =
     | None -> raise e
   end
 
-(* Install a governor built from --timeout/--max-groups/--max-mem/
-   --spill-at and the environment for the duration of [f]; [f] receives
-   the governor so commands can report its stats. *)
-let governed ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes f =
-  match
-    Xq.Governor.of_limits ?timeout_ms ?max_groups ?max_mem_mb
-      ?spill_watermark_bytes ()
-  with
+(* Install a governor built from the run configuration's limits for the
+   duration of [f]; [f] receives the governor so commands can report its
+   stats. *)
+let governed f =
+  match Xq.Governor.of_limits () with
   | None -> f None
   | Some g -> Xq.Governor.with_governor g (fun () -> f (Some g))
-
-(* Route --spill-dir / --no-spill to the spill-file manager before any
-   grouping runs. *)
-let apply_spill ~spill_dir ~no_spill =
-  (match spill_dir with
-   | Some _ as d -> Xq.Spill.set_dir d
-   | None -> ());
-  if no_spill then Xq.Spill.set_enabled false
 
 (* One stderr line when the query actually spilled, so operators see the
    degraded mode without turning on profiling. *)
@@ -237,49 +226,48 @@ let stream_flag =
   in
   Arg.(value & vflag None [ on; off ])
 
-(* --stream/--no-stream beats XQ_STREAM beats the silent default. *)
-let stream_knob = function
-  | Some _ as explicit -> explicit
-  | None -> (
-    match Sys.getenv_opt "XQ_STREAM" with
-    | Some ("0" | "false" | "no") -> Some false
-    | Some _ -> Some true
-    | None -> None)
+(* The flags every executing command shares, as the flags' layer of the
+   run configuration: each flag given beats the environment, each flag
+   left out leaves the setting to it. *)
+let knobs_term =
+  let knobs strategy parallel batch timeout max_groups max_mem spill_at
+      spill_dir no_spill =
+    {
+      Xq.Config.default_knobs with
+      k_strategy = strategy;
+      k_parallel = parallel;
+      k_batch = batch;
+      k_timeout_ms = timeout;
+      k_max_groups = max_groups;
+      k_max_mem_mb = max_mem;
+      k_spill_at_mb = spill_at;
+      k_spill = (if no_spill then Some false else None);
+      k_spill_dir = spill_dir;
+    }
+  in
+  Term.(
+    const knobs $ strategy_opt $ parallel_opt $ batch_opt $ timeout_opt
+    $ max_groups_opt $ max_mem_opt $ spill_at_opt $ spill_dir_opt
+    $ no_spill_flag)
 
 let load_input = function
   | Some path -> Xq.load_file path
   | None -> Xq.load_string "<empty/>"
 
-(* Make --parallel the process default, so every plan honors it —
-   nested FLWORs included. *)
-let apply_parallel = function
-  | Some n -> Xq.Par.set_default_degree n
-  | None -> ()
-
 (* All evaluation flows through the shared pipeline — the same
    compile-and-run path the REPL, fuzzer and query server use — so the
    front ends cannot drift apart. The CLI keeps only presentation:
    printing, --time, and the spill report. *)
-let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
-    ~parallel ~batch ~timeout ~max_groups ~max_mem ~spill_at ~spill_dir
-    ~no_spill ~stream ~no_agg_pushdown =
+let run_common input rewrite indent time explain_analyze stream
+    no_agg_pushdown knobs source =
   with_errors (fun () ->
-      apply_spill ~spill_dir ~no_spill;
-      if no_agg_pushdown then Xq.Algebra.Optimizer.set_agg_pushdown false;
       let knobs =
-        Xq.Pipeline.
-          {
-            k_strategy = strategy;
-            k_parallel = parallel;
-            k_batch = batch;
-            k_rewrite = rewrite;
-            k_use_index = false;
-            k_timeout_ms = timeout;
-            k_max_groups = max_groups;
-            k_max_mem_mb = max_mem;
-            k_spill_at_mb = spill_at;
-            k_stream = stream_knob stream;
-          }
+        {
+          knobs with
+          Xq.Config.k_rewrite = rewrite;
+          k_stream = stream;
+          k_agg_pushdown = (if no_agg_pushdown then Some false else None);
+        }
       in
       (* a file input goes to the pipeline as a streamable source (it
          decides, from the projection verdict and the knobs, whether to
@@ -313,37 +301,21 @@ let run_common ~source ~input ~rewrite ~indent ~time ~explain_analyze ~strategy
 
 (* --- commands ----------------------------------------------------------- *)
 
+(* [run] and [eval] differ only in where the query text comes from. *)
+let run_term =
+  Term.(
+    const run_common $ input_file $ rewrite_flag $ indent_flag $ time_flag
+    $ explain_analyze_flag $ stream_flag $ no_agg_pushdown_flag $ knobs_term)
+
 let run_cmd =
-  let action qf input rewrite indent time explain_analyze strategy parallel
-      batch timeout max_groups max_mem spill_at spill_dir no_spill stream
-      no_agg_pushdown =
-    run_common ~source:(read_file qf) ~input ~rewrite ~indent ~time
-      ~explain_analyze ~strategy ~parallel ~batch ~timeout ~max_groups
-      ~max_mem ~spill_at ~spill_dir ~no_spill ~stream ~no_agg_pushdown
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a query file against an XML document.")
-    Term.(
-      const action $ query_file $ input_file $ rewrite_flag $ indent_flag
-      $ time_flag $ explain_analyze_flag $ strategy_opt $ parallel_opt
-      $ batch_opt $ timeout_opt $ max_groups_opt $ max_mem_opt $ spill_at_opt
-      $ spill_dir_opt $ no_spill_flag $ stream_flag $ no_agg_pushdown_flag)
+    Term.(const (fun qf run -> run (read_file qf)) $ query_file $ run_term)
 
 let eval_cmd =
-  let action expr input rewrite indent time explain_analyze strategy parallel
-      batch timeout max_groups max_mem spill_at spill_dir no_spill stream
-      no_agg_pushdown =
-    run_common ~source:expr ~input ~rewrite ~indent ~time ~explain_analyze
-      ~strategy ~parallel ~batch ~timeout ~max_groups ~max_mem ~spill_at
-      ~spill_dir ~no_spill ~stream ~no_agg_pushdown
-  in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a query given on the command line.")
-    Term.(
-      const action $ query_string $ input_file $ rewrite_flag $ indent_flag
-      $ time_flag $ explain_analyze_flag $ strategy_opt $ parallel_opt
-      $ batch_opt $ timeout_opt $ max_groups_opt $ max_mem_opt $ spill_at_opt
-      $ spill_dir_opt $ no_spill_flag $ stream_flag $ no_agg_pushdown_flag)
+    Term.(const (fun expr run -> run expr) $ query_string $ run_term)
 
 let check_cmd =
   let action qf =
@@ -391,16 +363,14 @@ let plan_optimize_flag =
   Arg.(value & flag & info [ "optimize" ] ~doc)
 
 let profile_cmd =
-  let action qf input optimize strategy parallel batch timeout max_groups
-      max_mem spill_at spill_dir no_spill =
+  let action qf input optimize knobs =
     with_errors (fun () ->
-      apply_spill ~spill_dir ~no_spill;
-      governed ?timeout_ms:timeout ?max_groups ?max_mem_mb:max_mem
-        ?spill_watermark_bytes:
-          (Option.map (fun mb -> mb * 1024 * 1024) spill_at)
-        (fun gov ->
-        apply_parallel parallel;
-        (match batch with Some n -> Xq.Batch.set_size (Some n) | None -> ());
+      (* the same run configuration [xq run] resolves from these flags,
+         installed for the whole profile *)
+      Xq.Config.with_knobs
+        { knobs with Xq.Config.k_optimize = Some optimize }
+      @@ fun () ->
+      governed (fun gov ->
         let doc = load_input input in
         (match gov with
          | Some g -> Xq.Governor.rebaseline g
@@ -409,13 +379,10 @@ let profile_cmd =
         Xq.check query;
         match query.Xq.Lang.Ast.body with
         | Xq.Lang.Ast.Flwor f ->
-          Xq.Algebra.Exec.within ~optimize ?strategy ?parallel @@ fun () ->
           let plan = Xq.Algebra.Exec.plan_of_flwor f in
           let ctx = Xq.Algebra.Exec.query_context ~context_node:doc query in
           print_string (Xq.Algebra.Plan.to_string plan);
-          let result, stats =
-            Xq.Algebra.Exec.run_instrumented ?parallel ctx plan
-          in
+          let result, stats = Xq.Algebra.Exec.run_instrumented ctx plan in
           Printf.printf "\n%-24s %10s %10s %10s %10s %10s %8s %8s %5s %12s\n"
             "operator" "rows in" "rows out" "groups" "cmp" "walks" "dict"
             "batches" "par" "cpu ms";
@@ -446,9 +413,7 @@ let profile_cmd =
              row counts, comparator calls and CPU time.")
     Term.(
       const action $ query_file $ input_file $ plan_optimize_flag
-      $ strategy_opt $ parallel_opt $ batch_opt $ timeout_opt
-      $ max_groups_opt $ max_mem_opt $ spill_at_opt $ spill_dir_opt
-      $ no_spill_flag)
+      $ knobs_term)
 
 let gen_cmd =
   let workload =

@@ -526,6 +526,7 @@ let run_cmd =
           rq_knobs =
             Xq.Pipeline.
               {
+                default_knobs with
                 k_strategy = strategy;
                 k_parallel = parallel;
                 k_batch = batch;

@@ -80,11 +80,11 @@ let () =
          (Xq.Engine.Context.of_prolog query.Xq.Lang.Ast.prolog)
          { Xq.Engine.Context.item = Xq.Xdm.Item.Node doc; position = 1; size = 1 }
      in
-     let _, stats = Xq.Algebra.Exec.run_profiled ctx plan in
+     let _, stats = Xq.Algebra.Exec.run_instrumented ctx plan in
      print_endline "\nOperator profile of the top-sellers query:";
      List.iter
-       (fun (s : Xq.Algebra.Exec.operator_stat) ->
-         Printf.printf "  %-20s %6d tuples %8.2f ms\n" s.Xq.Algebra.Exec.op_label
-           s.Xq.Algebra.Exec.tuples_out s.Xq.Algebra.Exec.elapsed_ms)
+       (fun (s : Xq.Algebra.Exec.Stats.entry) ->
+         Printf.printf "  %-20s %6d tuples %8.2f ms\n" s.label s.rows_out
+           s.elapsed_ms)
        stats
    | _ -> ())

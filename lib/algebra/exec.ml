@@ -3,6 +3,7 @@ open Xq_lang
 
 module Smap = Map.Make (String)
 module Par = Xq_par.Par
+module Config = Xq_config.Config
 module Governor = Xq_governor.Governor
 
 type tuple = Xseq.t Smap.t
@@ -737,11 +738,11 @@ let apply_op ?tally ?batches ~batch ~parallel ctx op input =
   s.close ();
   List.concat_map Array.to_list (List.rev !acc)
 
-let run_instrumented ?(parallel = 1) ctx (plan : Plan.plan) =
+let run_instrumented ctx (plan : Plan.plan) =
   (* CPU-time profile per operator, innermost first (Sys.time keeps the
      library free of clock dependencies; the bench harness uses the
      monotonic clock for wall time). *)
-  let batch = Batch.size () in
+  let { Config.batch; parallel; _ } = Config.current () in
   let stats = ref [] in
   let stream =
     List.fold_left
@@ -807,24 +808,6 @@ let run_instrumented ?(parallel = 1) ctx (plan : Plan.plan) =
     :: !stats;
   (result, List.rev !stats)
 
-type operator_stat = {
-  op_label : string;
-  tuples_out : int;
-  elapsed_ms : float;
-}
-
-let run_profiled ?parallel ctx (plan : Plan.plan) =
-  let result, stats = run_instrumented ?parallel ctx plan in
-  ( result,
-    List.map
-      (fun (e : Stats.entry) ->
-        {
-          op_label = e.Stats.label;
-          tuples_out = e.Stats.rows_out;
-          elapsed_ms = e.Stats.elapsed_ms;
-        })
-      stats )
-
 (* The return clause as the chain's final sink: numbers the stream for
    [return at] and evaluates the return expression per tuple; the
    second component concatenates the outputs. *)
@@ -847,8 +830,8 @@ let return_sink ctx (plan : Plan.plan) =
   ( { push; close = (fun () -> ()); pressure = (fun () -> ()) },
     fun () -> Xseq.concat (List.rev !rev_out) )
 
-let run ?(parallel = 1) ctx (plan : Plan.plan) =
-  let batch = Batch.size () in
+let run ctx (plan : Plan.plan) =
+  let { Config.batch; parallel; _ } = Config.current () in
   let final, result = return_sink ctx plan in
   let chain =
     List.fold_right
@@ -861,51 +844,29 @@ let run ?(parallel = 1) ctx (plan : Plan.plan) =
 
 (* --- one plan builder, one executor ------------------------------------ *)
 
-type settings = {
-  strategy : Optimizer.group_strategy;
-  optimize : bool;
-  parallel : int;
-}
-
-(* The settings of the query running on this domain — what every FLWOR
-   it evaluates, nested ones included, compiles and executes under.
-   Domains the pool spawns inherit them at degree 1: a plan nested in a
-   pool task runs sequentially instead of forking again. *)
-let settings_key : settings option Domain.DLS.key =
-  Domain.DLS.new_key
-    ~split_from_parent:(Option.map (fun s -> { s with parallel = 1 }))
-    (fun () -> None)
-
-let resolve ?(optimize = false) ?strategy ?parallel () =
-  {
-    strategy =
-      (match strategy with
-       | Some s -> s
-       | None -> Optimizer.strategy_from_env ());
-    optimize;
-    parallel = (match parallel with Some p -> p | None -> Par.default_degree ());
-  }
-
-let current_settings () =
-  match Domain.DLS.get settings_key with Some s -> s | None -> resolve ()
-
-let within ?optimize ?strategy ?parallel f =
-  let s = resolve ?optimize ?strategy ?parallel () in
-  let saved = Domain.DLS.get settings_key in
-  Domain.DLS.set settings_key (Some s);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set settings_key saved) f
-
+(* Every FLWOR a query evaluates, nested ones included, compiles and
+   executes under the run configuration installed on its domain. *)
 let plan_of_flwor f =
-  let s = current_settings () in
+  let c = Config.current () in
   let plan =
     Optimizer.push_aggregates
-      (Optimizer.apply_strategy s.strategy (Plan.of_flwor f))
+      (Optimizer.apply_strategy c.Config.strategy (Plan.of_flwor f))
   in
-  if s.optimize then Optimizer.optimize plan else plan
+  if c.Config.optimize then Optimizer.optimize plan else plan
 
 let () =
-  Xq_engine.Eval.set_flwor_executor (fun ctx f ->
-      run ~parallel:(current_settings ()).parallel ctx (plan_of_flwor f))
+  Xq_engine.Eval.set_flwor_executor (fun ctx f -> run ctx (plan_of_flwor f))
+
+(* A call's explicit settings, laid over the running configuration. *)
+let configured ?optimize ?strategy ?parallel f =
+  Config.with_knobs
+    {
+      Config.default_knobs with
+      k_optimize = optimize;
+      k_strategy = strategy;
+      k_parallel = parallel;
+    }
+    f
 
 (* Dynamic context for a query: prolog, the fn:doc/fn:collection
    registry, the optional name index, focus on the context node, then
@@ -942,7 +903,7 @@ let query_context ?(use_index = false) ?(documents = []) ?(collections = [])
 let eval_query ?(check = true) ?optimize ?strategy ?parallel ?use_index
     ?documents ?collections ?default_collection ~context_node (q : Ast.query) =
   if check then Static.check_query q;
-  within ?optimize ?strategy ?parallel (fun () ->
+  configured ?optimize ?strategy ?parallel (fun () ->
       let ctx =
         query_context ?use_index ?documents ?collections ?default_collection
           ~context_node q
@@ -968,8 +929,8 @@ let run_string ?optimize ?strategy ?parallel ~context_node src =
 let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
     ?keep_whitespace ~source ~path ~var ~positional (q : Ast.query) =
   if check then Static.check_query q;
-  within ?optimize ?strategy ?parallel @@ fun () ->
-  let parallel = (current_settings ()).parallel in
+  configured ?optimize ?strategy ?parallel @@ fun () ->
+  let { Config.batch; parallel; _ } = Config.current () in
   let f =
     match q.Ast.body with
     | Ast.Flwor f -> f
@@ -986,7 +947,6 @@ let eval_query_stream ?(check = true) ?optimize ?strategy ?parallel
   (* the focus never escapes into the query (the projection verdict
      rejects free context items), so an empty document stands in *)
   let ctx = query_context ~context_node:(Node.document ()) q in
-  let batch = Batch.size () in
   let final, result = return_sink ctx plan in
   (* parse-ahead accounting: emitted subtrees stay charged until their
      vector is consumed downstream (whose own accounting then sees them

@@ -8,10 +8,11 @@
 open Xq_xdm
 
 (** Execute a plan in a dynamic context (as built by
-    {!query_context}). [parallel] is the domain-pool degree for
-    grouping and sorting operators (default 1); output is
-    byte-identical at any degree. *)
-val run : ?parallel:int -> Xq_engine.Context.t -> Plan.plan -> Xseq.t
+    {!query_context}) under the run configuration ([Config.current ()]):
+    its batch size, and its domain-pool degree for grouping, sorting,
+    binding and selection operators. Output is byte-identical at any
+    degree and batch size. *)
+val run : Xq_engine.Context.t -> Plan.plan -> Xseq.t
 
 (** {1 Instrumentation}
 
@@ -44,7 +45,7 @@ module Stats : sig
     batches : int;
         (** input vectors the operator consumed (1 for small inputs;
             0 for sources) *)
-    batch : int;         (** configured batch size ([XQ_BATCH]/[--batch]) *)
+    batch : int;         (** the run's batch size ([--batch]/[XQ_BATCH]) *)
     par : int;
         (** domain-pool degree available to this operator (1 when the
             operator cannot parallelize) *)
@@ -56,46 +57,15 @@ module Stats : sig
   type t = entry list
 end
 
-val run_instrumented :
-  ?parallel:int -> Xq_engine.Context.t -> Plan.plan -> Xseq.t * Stats.t
-
-(** {1 Profiling (legacy summary view)} *)
-
-type operator_stat = {
-  op_label : string;    (** e.g. ["HASH-GROUP"], ["FOR-EXPAND $x"] *)
-  tuples_out : int;     (** cardinality of the operator's output stream *)
-  elapsed_ms : float;   (** CPU time spent in this operator *)
-}
-
-(** Execute and report per-operator statistics, innermost operator first
-    and the return clause last. A projection of {!run_instrumented}. *)
-val run_profiled :
-  ?parallel:int ->
-  Xq_engine.Context.t ->
-  Plan.plan ->
-  Xseq.t * operator_stat list
+val run_instrumented : Xq_engine.Context.t -> Plan.plan -> Xseq.t * Stats.t
 
 (** {1 Whole queries} *)
 
-(** Run [f] with the settings every FLWOR evaluated inside it — top
-    level or nested — compiles and executes under: the grouping
-    [strategy] (default: the [XQ_GROUP_STRATEGY] environment variable,
-    else hash), whether {!Optimizer.optimize} runs on each plan (default
-    off), and the domain-pool degree [parallel] (default
-    [Par.default_degree ()], i.e. [XQ_PARALLEL] or 1). Results are
-    byte-identical under any settings. The settings are per domain;
-    domains the pool spawns inherit them at degree 1. *)
-val within :
-  ?optimize:bool ->
-  ?strategy:Optimizer.group_strategy ->
-  ?parallel:int ->
-  (unit -> 'a) ->
-  'a
-
-(** Compile a FLWOR under the current settings (see {!within}): the
-    clause plan, the grouping strategy, the eager-aggregation pushdown,
-    then the optimizer when enabled. Every FLWOR the engine runs is
-    built here. *)
+(** Compile a FLWOR under the run configuration ([Config.current ()]):
+    the clause plan, the configuration's grouping strategy, the
+    eager-aggregation pushdown when enabled, then the optimizer when
+    enabled. Every FLWOR the engine runs, top level or nested, is built
+    here. *)
 val plan_of_flwor : Xq_lang.Ast.flwor -> Plan.plan
 
 (** Build the dynamic context a query executes in: prolog functions,
@@ -116,7 +86,9 @@ val query_context :
 (** Check (unless [check] is [false]), build the context
     ({!query_context}) and evaluate a whole query against a context
     node; every FLWOR in it runs through {!Plan} operators under the
-    settings {!within} describes. *)
+    run configuration, with [optimize], [strategy] and [parallel], when
+    given, laid over it for this call. Results are byte-identical under
+    any configuration. *)
 val eval_query :
   ?check:bool ->
   ?optimize:bool ->

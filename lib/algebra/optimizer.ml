@@ -121,24 +121,10 @@ let optimize (plan : Plan.plan) =
 
 (* --- grouping-strategy selection ----------------------------------------- *)
 
-type group_strategy = Hash | Sort | Auto
+type group_strategy = Xq_config.Config.group_strategy = Hash | Sort | Auto
 
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "hash" -> Some Hash
-  | "sort" -> Some Sort
-  | "auto" -> Some Auto
-  | _ -> None
-
-let strategy_to_string = function
-  | Hash -> "hash"
-  | Sort -> "sort"
-  | Auto -> "auto"
-
-let strategy_from_env () =
-  match Sys.getenv_opt "XQ_GROUP_STRATEGY" with
-  | None -> Hash
-  | Some s -> Option.value (strategy_of_string s) ~default:Hash
+let strategy_to_string = Xq_config.Config.strategy_to_string
+let strategy_from_env () = (Xq_config.Config.env ()).Xq_config.Config.strategy
 
 (* [auto] fuses a downstream sort into the grouping only when the sort
    is exactly on the group's key variables, ascending with default empty
@@ -210,18 +196,16 @@ let apply_strategy strategy (plan : Plan.plan) =
    tables from that estimate instead of growing by rehash from the
    64-slot default. Purely a performance hint — a stale or missing
    estimate never changes results. Process-wide (the server's resident
-   queries are the main beneficiary), bounded, and disabled alongside
-   the other batched-execution fast paths for baseline measurements. *)
+   queries are the main beneficiary), bounded, and off — neither noted
+   nor read — in item-at-a-time runs (batch size 1), alongside the other
+   batched-execution fast paths. *)
 
 let estimates : (string, int) Hashtbl.t = Hashtbl.create 64
 let estimates_lock = Mutex.create ()
 let estimates_cap = 512
-let estimate_feedback = Atomic.make true
-
-let set_estimate_feedback b = Atomic.set estimate_feedback b
 
 let note_groups ~signature n =
-  if Atomic.get estimate_feedback && n > 0 then
+  if Xq_par.Batch.batched () && n > 0 then
     Mutex.protect estimates_lock (fun () ->
         if
           Hashtbl.length estimates >= estimates_cap
@@ -230,8 +214,7 @@ let note_groups ~signature n =
         Hashtbl.replace estimates signature n)
 
 let estimated_groups ~signature =
-  if not (Atomic.get estimate_feedback) then None
-  else Mutex.protect estimates_lock (fun () -> Hashtbl.find_opt estimates signature)
+  Mutex.protect estimates_lock (fun () -> Hashtbl.find_opt estimates signature)
 
 (* --- eager-aggregation pushdown ------------------------------------------ *)
 
@@ -258,12 +241,6 @@ let estimated_groups ~signature =
    - two-argument variants ([sum($v, $zero)], [min($v, $collation)])
      never match the call-site pattern and so fall back to
      materialization. *)
-
-let agg_pushdown_enabled =
-  Atomic.make (Sys.getenv_opt "XQ_NO_AGG_PUSHDOWN" = None)
-
-let set_agg_pushdown b = Atomic.set agg_pushdown_enabled b
-let agg_pushdown_on () = Atomic.get agg_pushdown_enabled
 
 let agg_kind_of_call (name : Xq_xdm.Xname.t) =
   if Xq_xdm.Xname.is_default_fn name then
@@ -318,7 +295,7 @@ let op_binds_exprs (op : Plan.op) =
           | None -> []) )
 
 let push_aggregates (plan : Plan.plan) =
-  if not (Atomic.get agg_pushdown_enabled) then plan
+  if not (Xq_config.Config.current ()).Xq_config.Config.agg_pushdown then plan
   else begin
     (* locate the topmost grouping operator; collect the binders and
        consumer expressions of everything above it *)

@@ -38,13 +38,12 @@ val last_rewrite_count : unit -> int
 
     Groupings with a [using] comparator always stay {!Plan.Scan_group}. *)
 
-type group_strategy = Hash | Sort | Auto
+type group_strategy = Xq_config.Config.group_strategy = Hash | Sort | Auto
 
-val strategy_of_string : string -> group_strategy option
 val strategy_to_string : group_strategy -> string
 
-(** Reads [XQ_GROUP_STRATEGY] ([hash]/[sort]/[auto]); [Hash] when unset
-    or unrecognized. *)
+(** The environment's strategy ([Config.env ()]: [XQ_GROUP_STRATEGY],
+    [hash]/[sort]/[auto]); [Hash] when unset or unrecognized. *)
 val strategy_from_env : unit -> group_strategy
 
 val apply_strategy : group_strategy -> Plan.plan -> Plan.plan
@@ -55,16 +54,14 @@ val apply_strategy : group_strategy -> Plan.plan -> Plan.plan
     the group count they built, keyed on the operator's [Plan.op_line]
     signature, and later executions of a structurally identical operator
     presize their hash tables from it. A hint only — results never
-    depend on it. *)
+    depend on it. Item-at-a-time runs (batch size 1) neither note nor
+    read estimates. *)
 
 (** Record that the operator with this signature built [n] groups. *)
 val note_groups : signature:string -> int -> unit
 
 (** Last recorded group count for this signature, if any. *)
 val estimated_groups : signature:string -> int option
-
-(** Disable/enable the registry (bench item-at-a-time baselines). *)
-val set_estimate_feedback : bool -> unit
 
 (** {1 Eager-aggregation pushdown}
 
@@ -80,7 +77,9 @@ val set_estimate_feedback : bool -> unit
     in a consumer expression, and [nest ... order by] disables the
     rewrite. Results are byte-identical either way; the rewrite is a
     plan-shape and resource change only. Apply after strategy selection
-    and before {!optimize}. *)
+    and before {!optimize}. Returns the plan unchanged when the run
+    configuration turns the pushdown off ([--no-agg-pushdown],
+    [XQ_NO_AGG_PUSHDOWN]). *)
 
 val push_aggregates : Plan.plan -> Plan.plan
 
@@ -89,11 +88,3 @@ val push_aggregates : Plan.plan -> Plan.plan
     not apply. *)
 val agg_pushdown_count : Plan.plan -> int
 
-(** Kill switch ([false] disables {!push_aggregates}; initialized to
-    disabled when [XQ_NO_AGG_PUSHDOWN] is set in the environment). *)
-val set_agg_pushdown : bool -> unit
-
-(** The switch's current state — lets harnesses that toggle it (the
-    fuzzer's rewrite differential, the test sweeps) restore whatever
-    the environment established rather than assuming [true]. *)
-val agg_pushdown_on : unit -> bool

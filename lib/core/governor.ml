@@ -177,25 +177,17 @@ let parse_faults s =
         }
     | _ -> None)
 
-let faults_config : faults option Atomic.t = Atomic.make None
-let faults_initialized = Atomic.make false
+(* Armed from [XQ_FAULTS] at start-up; tests re-arm or clear it. *)
+let faults_config : faults option Atomic.t =
+  Atomic.make
+    (Option.bind (Xq_config.Config.env ()).Xq_config.Config.faults parse_faults)
 
-let faults () =
-  if not (Atomic.get faults_initialized) then begin
-    (match Sys.getenv_opt "XQ_FAULTS" with
-     | Some s -> Atomic.set faults_config (parse_faults s)
-     | None -> ());
-    Atomic.set faults_initialized true
-  end;
-  Atomic.get faults_config
+let faults () = Atomic.get faults_config
 
 let set_faults ~seed ~rate =
-  Atomic.set faults_config (parse_faults (Printf.sprintf "%d:%f" seed rate));
-  Atomic.set faults_initialized true
+  Atomic.set faults_config (parse_faults (Printf.sprintf "%d:%f" seed rate))
 
-let clear_faults () =
-  Atomic.set faults_config None;
-  Atomic.set faults_initialized true
+let clear_faults () = Atomic.set faults_config None
 
 let faults_enabled () = faults () <> None
 
@@ -682,24 +674,17 @@ let summary g =
          s.s_spilled_bytes s.s_spill_files s.s_repartitions
      else "")
 
-(* --- building a governor from CLI flags and the environment --------------- *)
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> Some n
-    | Some _ | None -> None)
+(* --- building a governor from the run configuration ------------------- *)
 
 let of_limits ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes () =
+  let c = Xq_config.Config.current () in
   let first a b = match a with Some _ -> a | None -> b in
-  let timeout_ms = first timeout_ms (env_int "XQ_TIMEOUT") in
-  let max_groups = first max_groups (env_int "XQ_MAX_GROUPS") in
-  let max_mem_mb = first max_mem_mb (env_int "XQ_MAX_MEM") in
+  let timeout_ms = first timeout_ms c.timeout_ms in
+  let max_groups = first max_groups c.max_groups in
+  let max_mem_mb = first max_mem_mb c.max_mem_mb in
   let spill_watermark_bytes =
     first spill_watermark_bytes
-      (Option.map (fun mb -> mb * 1024 * 1024) (env_int "XQ_SPILL_AT"))
+      (Option.map (fun mb -> mb * 1024 * 1024) c.spill_at_mb)
   in
   (* CLI semantics: a hard memory budget arms spilling at half the trip
      point, so governed queries degrade before they die. In-process
@@ -710,15 +695,13 @@ let of_limits ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes () =
     | None, Some mb -> Some (mb * 1024 * 1024 / 2)
     | w, _ -> w
   in
-  let max_input_bytes = env_int "XQ_MAX_INPUT" in
-  let max_depth = env_int "XQ_MAX_DEPTH" in
   if
     timeout_ms = None && max_groups = None && max_mem_mb = None
-    && spill_watermark_bytes = None && max_input_bytes = None
-    && max_depth = None
+    && spill_watermark_bytes = None && c.max_input_bytes = None
+    && c.max_depth = None
     && not (faults_enabled ())
   then None
   else
     Some
       (create ?timeout_ms ?max_groups ?max_mem_mb ?spill_watermark_bytes
-         ?max_input_bytes ?max_depth ())
+         ?max_input_bytes:c.max_input_bytes ?max_depth:c.max_depth ())

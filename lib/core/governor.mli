@@ -4,7 +4,7 @@
 
     The engine's hot loops call {!tick}, which is a single atomic load
     when no governor is installed. Install one with {!with_governor}
-    (or build one from CLI flags / environment with {!of_limits});
+    (or build one from the run configuration with {!of_limits});
     while installed, each tick bumps a cache-line-padded per-domain
     counter, and every 64th tick reads the cancellation flags and runs
     the expensive checks (deadline, fault draw, and — less often — the
@@ -46,9 +46,10 @@ val create :
   unit ->
   t
 
-(** Merge explicit limits with the environment ([XQ_TIMEOUT],
-    [XQ_MAX_GROUPS], [XQ_MAX_MEM], [XQ_SPILL_AT] in MB, [XQ_MAX_INPUT],
-    [XQ_MAX_DEPTH]). Returns [None] when no limit is set anywhere and
+(** Merge explicit limits over the run configuration's
+    ([Config.current ()]: the request's limits, else the server's, else
+    [XQ_TIMEOUT], [XQ_MAX_GROUPS], [XQ_MAX_MEM], [XQ_SPILL_AT] in MB,
+    [XQ_MAX_INPUT], [XQ_MAX_DEPTH]). Returns [None] when no limit is set anywhere and
     fault injection is off — i.e. when running governed would be pure
     overhead. Returns [Some] of an unlimited governor when only faults
     are configured, so tick points are armed for injection. When a

@@ -2,30 +2,6 @@
    always takes the caller's thread and touches no Domain API, so the
    default configuration is byte-for-byte the sequential code path. *)
 
-let degree_cap = 64
-
-let parse_degree s =
-  match int_of_string_opt (String.trim s) with
-  | Some n when n >= 1 -> Some (min n degree_cap)
-  | Some _ | None -> None
-
-(* Read once: the environment cannot change under a running process, and
-   reading lazily keeps [default_degree] allocation-free on hot paths. *)
-let env_degree =
-  lazy
-    (match Sys.getenv_opt "XQ_PARALLEL" with
-     | None -> 1
-     | Some s -> ( match parse_degree s with Some n -> n | None -> 1))
-
-let override = Atomic.make 0 (* 0 = no override, fall back to XQ_PARALLEL *)
-
-let set_default_degree n = Atomic.set override (max 1 (min n degree_cap))
-
-let default_degree () =
-  match Atomic.get override with
-  | 0 -> Lazy.force env_degree
-  | n -> n
-
 module Governor = Xq_governor.Governor
 
 (* One warning per process when spawning fails and we degrade to the
@@ -113,7 +89,7 @@ let run_tasks (tasks : (unit -> unit) array) =
 (* How many chunks to actually use for [n] elements: never more than the
    requested degree, never chunks smaller than [min_chunk]. *)
 let pieces ~degree ~min_chunk n =
-  let d = max 1 (min degree degree_cap) in
+  let d = max 1 (min degree Xq_config.Config.degree_cap) in
   max 1 (min d (n / max 1 min_chunk))
 
 let map ?(degree = 1) ?(min_chunk = 16) f src =

@@ -3,22 +3,9 @@
     Everything here degrades to the plain sequential code path at degree
     1 (the default): no domain is ever spawned, so callers can thread a
     degree unconditionally and pay nothing when parallelism is off.
-    Degrees above {!degree_cap} are clamped. *)
-
-val degree_cap : int
-
-(** The process-wide default parallelism degree: an explicit
-    {!set_default_degree} override if one was made, else the
-    [XQ_PARALLEL] environment variable, else 1. *)
-val default_degree : unit -> int
-
-(** Override the default degree for this process (the CLI's
-    [--parallel N]). Clamped to [1 .. degree_cap]. *)
-val set_default_degree : int -> unit
-
-(** Parse a degree string as [XQ_PARALLEL] would ([None] when invalid or
-    < 1). *)
-val parse_degree : string -> int option
+    Degrees above [Config.degree_cap] are clamped. The degree a query runs at
+    is its run configuration's ([Config.current ()].parallel); this
+    module keeps no default of its own. *)
 
 (** Run all thunks to completion, task 0 on the calling domain and the
     rest on fresh domains. If [Domain.spawn] fails (or a spawn fault is

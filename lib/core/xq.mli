@@ -22,6 +22,11 @@ module Engine = Xq_engine
 module Rewrite = Xq_rewrite
 module Algebra = Xq_algebra
 
+(** The run configuration: every setting a query executes under
+    ([--parallel], [--batch], [--strategy], limits, spilling, …), the
+    one reader of the [XQ_*] environment, and its per-run scope. *)
+module Config = Xq_config.Config
+
 (** Fork-join domain pool behind [--parallel] / [XQ_PARALLEL]. *)
 module Par = Xq_par.Par
 

@@ -106,16 +106,6 @@ let code_cost = 16
 
 let scope_depth = Stdlib.Atomic.make 0
 
-let interning_available =
-  Stdlib.Atomic.make
-    (match Sys.getenv_opt "XQ_DICT" with
-     | Some ("0" | "off" | "OFF") -> false
-     | _ -> true)
-
-let set_interning_available b = Stdlib.Atomic.set interning_available b
-
-let interning_on () =
-  Stdlib.Atomic.get interning_available && Stdlib.Atomic.get scope_depth > 0
 
 let with_interning f =
   Stdlib.Atomic.incr scope_depth;
@@ -225,7 +215,7 @@ let canon_of_item = function
   | Item.Atomic a -> CAtom a
   | Item.Node n ->
     let fp, sv = fingerprint n in
-    if interning_on () then
+    if Stdlib.Atomic.get scope_depth > 0 then
       match Dict.intern fp sv with
       | Some (code, fresh) ->
         Stdlib.Atomic.incr Dict.interns;

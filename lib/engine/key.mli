@@ -100,15 +100,9 @@ val reset_walk_count : unit -> unit
     rejects codes outside the published dictionary as [Binio.Corrupt]. *)
 
 (** Run [f] with dictionary interning enabled (scopes nest; thread-safe).
-    The batched executor wraps canonicalization of large inputs in this. *)
+    The batched executor wraps canonicalization of large inputs in this;
+    item-at-a-time runs (batch size 1) never open a scope. *)
 val with_interning : (unit -> 'a) -> 'a
-
-(** Whether {!with_interning} scopes currently intern (false when disabled
-    via {!set_interning_available} or [XQ_DICT=0]). *)
-val interning_on : unit -> bool
-
-(** Process-wide kill switch (bench baselines, [XQ_DICT=0]). *)
-val set_interning_available : bool -> unit
 
 (** Monotonic count of node keys interned to a code (EXPLAIN's [dict=]
     counter is conditional on its per-operator delta). *)

@@ -82,9 +82,8 @@ let engine_outcome ?(inject_bug = false) ?doc config context_node query =
      the CLI, REPL and query server use — with the static check
      hoisted (the historical entry points defaulted check:true) *)
   let compiled = Xq_pipeline.Pipeline.of_query query in
-  let strategy = config.strategy and parallel = config.parallel in
   let materialized () =
-    Xq_pipeline.Pipeline.eval ~strategy ~parallel ~doc:context_node compiled
+    Xq_pipeline.Pipeline.eval ~doc:context_node compiled
   in
   let run () =
     Xq_lang.Static.check_query query;
@@ -97,27 +96,28 @@ let engine_outcome ?(inject_bug = false) ?doc config context_node query =
          divergence and shrinks like one. *)
       match Xq_rewrite.Projection.analyze query with
       | Xq_rewrite.Projection.Streamable { path; var; positional } ->
-        Xq_algebra.Exec.eval_query_stream ~check:false ~strategy ~parallel
-          ~source:(`String src) ~path ~var ~positional query
+        Xq_algebra.Exec.eval_query_stream ~check:false ~source:(`String src)
+          ~path ~var ~positional query
       | Xq_rewrite.Projection.Materialize _ -> materialized ()
     end
     | _ -> materialized ()
   in
-  let run () =
-    if config.nopush then begin
-      let saved = Optimizer.agg_pushdown_on () in
-      Optimizer.set_agg_pushdown false;
-      Fun.protect
-        ~finally:(fun () -> Optimizer.set_agg_pushdown saved)
-        run
-    end
-    else run ()
+  (* the column's settings, laid over the environment's (the pushdown is
+     only ever forced off: an XQ_NO_AGG_PUSHDOWN sweep keeps it off) *)
+  let knobs =
+    {
+      Xq_config.Config.default_knobs with
+      k_strategy = Some config.strategy;
+      k_parallel = Some config.parallel;
+      k_agg_pushdown = (if config.nopush then Some false else None);
+    }
   in
   let outcome =
     capture (fun () ->
-        if config.spill then
-          Xq_governor.Governor.with_governor (spill_governor ()) run
-        else run ())
+        Xq_config.Config.with_knobs knobs (fun () ->
+            if config.spill then
+              Xq_governor.Governor.with_governor (spill_governor ()) run
+            else run ()))
   in
   match outcome with
   | Output (_ :: _ as items) when inject_bug ->

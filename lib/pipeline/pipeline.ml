@@ -3,41 +3,15 @@
 module Governor = Xq_governor.Governor
 module Optimizer = Xq_algebra.Optimizer
 
-type knobs = {
-  k_strategy : Optimizer.group_strategy option;
-  k_parallel : int option;
-  k_batch : int option;
-  k_rewrite : bool;
-  k_use_index : bool;
-  k_timeout_ms : int option;
-  k_max_groups : int option;
-  k_max_mem_mb : int option;
-  k_spill_at_mb : int option;
-  k_stream : bool option;
-}
+module Config = Xq_config.Config
 
-let default_knobs =
-  {
-    k_strategy = None;
-    k_parallel = None;
-    k_batch = None;
-    k_rewrite = false;
-    k_use_index = false;
-    k_timeout_ms = None;
-    k_max_groups = None;
-    k_max_mem_mb = None;
-    k_spill_at_mb = None;
-    k_stream = None;
-  }
+include Config.Knobs
 
 (* Streaming is on by default when a streamable source is supplied;
-   [XQ_NO_STREAM=1] is the environment kill switch, [k_stream] the
-   per-request override (the CLI's --stream/--no-stream, the protocol's
-   STREAM header). *)
-let stream_enabled knobs =
-  match Sys.getenv_opt "XQ_NO_STREAM" with
-  | Some ("1" | "true" | "yes") -> false  (* the kill switch beats everything *)
-  | _ -> knobs.k_stream <> Some false
+   [XQ_NO_STREAM=1] is the environment kill switch and beats everything,
+   [k_stream] the per-request override (the CLI's --stream/--no-stream,
+   the protocol's STREAM header). *)
+let stream_enabled (c : Config.t) = (not c.no_stream) && c.stream <> Some false
 
 type compiled = {
   c_source : string;
@@ -56,18 +30,14 @@ let source c = c.c_source
 
 (* Length-prefixed fields make the key injective: no choice of query
    text can collide with a knob rendering. *)
-let cache_key ~knobs source =
-  let strategy =
-    match knobs.k_strategy with
-    | Some s -> s
-    | None -> Optimizer.strategy_from_env ()
-  in
+let cache_key ?(base = Config.current ()) ~knobs source =
+  let c = Config.over knobs base in
   let field s = Printf.sprintf "%d:%s" (String.length s) s in
   String.concat ""
     [
-      field (Optimizer.strategy_to_string strategy);
-      field (if knobs.k_rewrite then "rw" else "");
-      field (if knobs.k_use_index then "ix" else "");
+      field (Optimizer.strategy_to_string c.strategy);
+      field (if c.rewrite then "rw" else "");
+      field (if c.use_index then "ix" else "");
       field source;
     ]
 
@@ -87,17 +57,12 @@ type report = {
 let empty_doc () = Xq_xml.Xml_parse.parse "<empty/>"
 
 let run ?(scope = `Process) ?(force_governor = false) ?on_governor
-    ?(knobs = default_knobs) ?(indent = false) ?(explain_analyze = false)
-    ?compiled ?source ?load_doc ?stream_source () =
+    ?(base = Config.current ()) ?(knobs = default_knobs) ?(indent = false)
+    ?(explain_analyze = false) ?compiled ?source ?load_doc ?stream_source () =
+  let config = Config.over knobs base in
   let governed f =
     let gov =
-      match
-        Governor.of_limits ?timeout_ms:knobs.k_timeout_ms
-          ?max_groups:knobs.k_max_groups ?max_mem_mb:knobs.k_max_mem_mb
-          ?spill_watermark_bytes:
-            (Option.map (fun mb -> mb * 1024 * 1024) knobs.k_spill_at_mb)
-          ()
-      with
+      match Governor.of_limits () with
       | Some _ as g -> g
       | None ->
         (* the server forces an (unlimited) governor on every query so
@@ -117,22 +82,11 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
           (match on_governor with Some cb -> cb g | None -> ());
           f (Some g))
   in
+  (* the whole run — governor limits included — executes under the one
+     resolved configuration, installed on this domain and inherited by
+     the pool's *)
+  Config.with_config config @@ fun () ->
   governed (fun gov ->
-      (match knobs.k_parallel with
-       | Some n -> Xq_par.Par.set_default_degree n
-       | None -> ());
-      (* The batch override is process-wide; restore it on exit so a
-         per-request --batch in the server does not outlive its
-         request. *)
-      let saved_batch = Xq_par.Batch.get_override () in
-      (match knobs.k_batch with
-       | Some n -> Xq_par.Batch.set_size (Some n)
-       | None -> ());
-      Fun.protect ~finally:(fun () ->
-          match knobs.k_batch with
-          | Some _ -> Xq_par.Batch.set_size saved_batch
-          | None -> ())
-      @@ fun () ->
       let compiled_memo = ref compiled in
       let get_compiled () =
         match !compiled_memo with
@@ -140,7 +94,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         | None ->
           let c =
             match source with
-            | Some src -> compile ~rewrite:knobs.k_rewrite src
+            | Some src -> compile ~rewrite:config.rewrite src
             | None -> invalid_arg "Pipeline.run: no compiled and no source"
           in
           compiled_memo := Some c;
@@ -161,7 +115,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
          here (both are governed either way). *)
       let streamed =
         match stream_source with
-        | Some src when (not explain_analyze) && stream_enabled knobs -> begin
+        | Some src when (not explain_analyze) && stream_enabled config -> begin
           let c = get_compiled () in
           match Xq_rewrite.Projection.analyze c.c_query with
           | Xq_rewrite.Projection.Streamable { path; var; positional } ->
@@ -169,7 +123,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
           | Xq_rewrite.Projection.Materialize reason ->
             (* one quiet line, only when streaming was asked for by
                name — the silent default must not get noisy *)
-            if knobs.k_stream = Some true then
+            if config.stream = Some true then
               Printf.eprintf
                 "xq: streaming requested but not possible (%s); \
                  materializing\n%!"
@@ -186,9 +140,8 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         (match gov with Some g -> Governor.rebaseline g | None -> ());
         let t0 = Sys.time () in
         let result =
-          Xq_algebra.Exec.eval_query_stream ~check:false
-            ?strategy:knobs.k_strategy ?parallel:knobs.k_parallel ~source:src ~path ~var ~positional
-            compiled.c_query
+          Xq_algebra.Exec.eval_query_stream ~check:false ~source:src ~path
+            ~var ~positional compiled.c_query
         in
         let elapsed = (Sys.time () -. t0) *. 1000.0 in
         let rendered = render ~indent result in
@@ -207,8 +160,8 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         let compiled = get_compiled () in
         if explain_analyze then
           let output =
-            Xq_rewrite.Explain.analyze_query ?strategy:knobs.k_strategy
-              ?parallel:knobs.k_parallel ~context_node:doc compiled.c_query
+            Xq_rewrite.Explain.analyze_query ~context_node:doc
+              compiled.c_query
           in
           (* with a streamable source in play, EXPLAIN also reports the
              projection verdict — the reason a query materializes is
@@ -217,7 +170,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
              compile time, say so — the analyzed plan only shows the
              resulting group by, not where it came from *)
           let output =
-            if not knobs.k_rewrite then output
+            if not config.rewrite then output
             else
               let n =
                 match
@@ -248,8 +201,7 @@ let run ?(scope = `Process) ?(force_governor = false) ?on_governor
         else begin
           let t0 = Sys.time () in
           let result =
-            eval ~use_index:knobs.k_use_index ?strategy:knobs.k_strategy
-              ?parallel:knobs.k_parallel ~doc compiled
+            eval ~use_index:config.use_index ~doc compiled
           in
           let elapsed = (Sys.time () -. t0) *. 1000.0 in
           (* serialize fully before anything is written, so a trip

@@ -5,10 +5,11 @@
     byte for byte: parse → static check → optional implicit-group-by
     rewrite ({!compile}), then plan-algebra execution ({!eval}), then
     full serialization before anything is written ({!render} — a trip
-    mid-query can never leave partial output). {!run} wraps the whole thing in a governor built from
-    {!knobs} (merged with the [XQ_*] environment), installed either
-    process-wide (CLI semantics) or scoped to the calling domain (the
-    server's concurrent-query semantics).
+    mid-query can never leave partial output). {!run} resolves one run
+    configuration from {!knobs} over the lower layers and wraps the
+    whole thing in it and in a governor built from its limits,
+    installed either process-wide (CLI semantics) or scoped to the
+    calling domain (the server's concurrent-query semantics).
 
     {!compile}'s result is the server's plan-cache artifact: the
     setup cost a resident process amortizes is parsing, static
@@ -18,32 +19,15 @@
 
 open Xq_xdm
 
-(** Everything that selects a pipeline variant. [None] strategy is the
-    one [XQ_GROUP_STRATEGY] names, else hash. Limits merge with the
-    environment via [Governor.of_limits]. *)
-type knobs = {
-  k_strategy : Xq_algebra.Optimizer.group_strategy option;
-  k_parallel : int option;  (** domain-pool degree *)
-  k_batch : int option;
-      (** executor batch size ([1] = item-at-a-time; default
-          [XQ_BATCH] or 4096). Output is byte-identical at any size. *)
-  k_rewrite : bool;  (** implicit-group-by rewrite before evaluation *)
-  k_use_index : bool;  (** answer [//name] from an element-name index *)
-  k_timeout_ms : int option;
-  k_max_groups : int option;
-  k_max_mem_mb : int option;
-  k_spill_at_mb : int option;
-  k_stream : bool option;
-      (** streamed ingestion when a [stream_source] is supplied:
-          [None] = on when the projection verdict allows (the default),
-          [Some true] = requested by name (a one-line stderr notice when
-          the query is not streamable), [Some false] = off. The
-          [XQ_NO_STREAM=1] environment kill switch beats all three. *)
-}
-
-(** No strategy (the environment default), no explicit limits, no
-    rewrite. *)
-val default_knobs : knobs
+(** Everything that selects a pipeline variant — [knobs] and
+    [default_knobs] (no setting at all, so a request built from it
+    sends no header) — re-exported from {!Xq_config.Config.Knobs}: one
+    layer of the run configuration, where [None] (or [false]) leaves a
+    setting to the layer below — the server default, then the
+    environment, then the built-in default. *)
+include module type of struct
+  include Xq_config.Config.Knobs
+end
 
 (** A parsed, statically checked, optionally rewritten query — the
     artifact the server's plan cache holds and every front end
@@ -60,16 +44,20 @@ val of_query : ?source:string -> Xq_lang.Ast.query -> compiled
 val query : compiled -> Xq_lang.Ast.query
 val source : compiled -> string
 
-(** The plan-cache key for [source] under [knobs]: query text × the
-    resolved strategy (with none given, the one [XQ_GROUP_STRATEGY]
-    names) × the compile-relevant knobs (rewrite, index) — so a cached
-    artifact is never reused under knobs that could compile or execute
-    it differently. Injective per component (length-prefixed fields). *)
-val cache_key : knobs:knobs -> string -> string
+(** The plan-cache key for [source] under [knobs] laid over [base]
+    (default: the configuration installed on this domain, else the
+    environment's): query text × the resolved strategy (the request's,
+    else the server default's, else [XQ_GROUP_STRATEGY]'s) × the
+    compile-relevant settings (rewrite, index) — so a cached artifact is
+    never reused under settings that could compile or execute it
+    differently. Injective per component (length-prefixed fields). *)
+val cache_key : ?base:Xq_config.Config.t -> knobs:knobs -> string -> string
 
 (** Execute a compiled query against a context document through the
-    plan algebra ([Exec.eval_query]); [strategy] defaults to the
-    environment's. No governor management here. *)
+    plan algebra ([Exec.eval_query]), under the run configuration
+    installed on this domain (outside a run, the environment's) with
+    [strategy] and [parallel], when given, laid over it. No governor
+    management here. *)
 val eval :
   ?use_index:bool ->
   ?strategy:Xq_algebra.Optimizer.group_strategy ->
@@ -90,8 +78,13 @@ type report = {
       (** the governor's stats when one was installed *)
 }
 
-(** The full governed pipeline: build a governor from [knobs] + the
-    environment, install it ([`Process] = process-wide, CLI semantics;
+(** The full governed pipeline. Resolve the run configuration —
+    [knobs] laid over [base] (default: the configuration installed on
+    this domain, else the environment's; the server passes its own
+    default) — and install it on this domain for the length of the run,
+    so every FLWOR, nested ones and pool domains included, runs under
+    it and nothing outlives the run. Build a governor from its limits,
+    install it ([`Process] = process-wide, CLI semantics;
     [`Domain] = scoped to this domain, server semantics), load the
     document inside the governed region (input limits apply),
     rebaseline so memory budgets cover the query's own work, compile
@@ -120,6 +113,7 @@ val run :
   ?scope:[ `Process | `Domain ] ->
   ?force_governor:bool ->
   ?on_governor:(Xq_governor.Governor.t -> unit) ->
+  ?base:Xq_config.Config.t ->
   ?knobs:knobs ->
   ?indent:bool ->
   ?explain_analyze:bool ->

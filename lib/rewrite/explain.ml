@@ -245,7 +245,14 @@ let analyzed ?(timings = true) (plan : Plan.plan) (stats : Exec.Stats.t) =
 
 let analyze_query ?(timings = true) ?optimize ?strategy ?parallel
     ~context_node (q : Ast.query) =
-  Exec.within ?optimize ?strategy ?parallel @@ fun () ->
+  Xq_config.Config.with_knobs
+    {
+      Xq_config.Config.default_knobs with
+      k_optimize = optimize;
+      k_strategy = strategy;
+      k_parallel = parallel;
+    }
+  @@ fun () ->
   let ctx = Exec.query_context ~context_node q in
   let buf = Buffer.create 256 in
   let total = ref 0 in
@@ -253,7 +260,7 @@ let analyze_query ?(timings = true) ?optimize ?strategy ?parallel
     match e with
     | Flwor f ->
       let plan = Exec.plan_of_flwor f in
-      let result, stats = Exec.run_instrumented ?parallel ctx plan in
+      let result, stats = Exec.run_instrumented ctx plan in
       total := !total + List.length result;
       (* pushdown annotation before the plan it reshaped, only when it
          applied — the untouched golden corpus stays byte-stable *)

@@ -28,10 +28,10 @@ val analyzed :
     (other parts are evaluated without a rendered plan and noted as
     such; FLWORs nested inside any part run through plans under the
     same settings but are not rendered), ending with the total result
-    cardinality. [strategy] defaults to
-    [XQ_GROUP_STRATEGY] (else hash); [optimize] runs the plan
-    optimizer first; [parallel] sets the domain-pool degree (default
-    [XQ_PARALLEL], else 1). *)
+    cardinality. Runs under the run configuration ([Config.current ()]:
+    outside a run, the environment's), with [optimize] (run the plan
+    optimizer first), [strategy] and [parallel] (the domain-pool
+    degree), when given, laid over it. *)
 val analyze_query :
   ?timings:bool ->
   ?optimize:bool ->

@@ -1,5 +1,6 @@
 module Governor = Xq_governor.Governor
 module Pipeline = Xq_pipeline.Pipeline
+module Config = Xq_config.Config
 module Xerror = Xq_xdm.Xerror
 
 type config = {
@@ -43,6 +44,8 @@ type counters = {
 
 type t = {
   cfg : config;
+  base : Config.t;  (* the server default over the environment, resolved
+                       once: what every request's knobs lay over *)
   house : Governor.t;
   plan_cache : Plan_cache.t;
   doc_store : Doc_store.t;
@@ -72,6 +75,7 @@ let create ?(config = default_config) () =
   in
   {
     cfg = config;
+    base = Config.over config.c_knobs (Config.env ());
     house;
     plan_cache =
       Plan_cache.create ~capacity:config.c_plan_capacity ~account:house ();
@@ -138,24 +142,6 @@ let cancel_inflight t =
     locked t (fun () ->
         t.counters.n_drain_cancelled <- t.counters.n_drain_cancelled + n);
   n
-
-(* --- request knobs over server defaults -------------------------------- *)
-
-let merge_knobs ~base ~req =
-  let opt r b = match r with Some _ -> r | None -> b in
-  Pipeline.
-    {
-      k_strategy = opt req.k_strategy base.k_strategy;
-      k_parallel = opt req.k_parallel base.k_parallel;
-      k_batch = opt req.k_batch base.k_batch;
-      k_rewrite = req.k_rewrite || base.k_rewrite;
-      k_use_index = req.k_use_index || base.k_use_index;
-      k_timeout_ms = opt req.k_timeout_ms base.k_timeout_ms;
-      k_max_groups = opt req.k_max_groups base.k_max_groups;
-      k_max_mem_mb = opt req.k_max_mem_mb base.k_max_mem_mb;
-      k_spill_at_mb = opt req.k_spill_at_mb base.k_spill_at_mb;
-      k_stream = opt req.k_stream base.k_stream;
-    }
 
 (* --- error taxonomy ----------------------------------------------------- *)
 
@@ -267,8 +253,9 @@ let crash_point what =
 (* --- query execution ---------------------------------------------------- *)
 
 let run_request t (rq : Protocol.run_request) =
-  let knobs = merge_knobs ~base:t.cfg.c_knobs ~req:rq.rq_knobs in
-  let key = Pipeline.cache_key ~knobs rq.rq_source in
+  let knobs = rq.rq_knobs in
+  let rewrite = (Config.over knobs t.base).Config.rewrite in
+  let key = Pipeline.cache_key ~base:t.base ~knobs rq.rq_source in
   (* Everything below runs on the worker domain: compilation (so a
      parse error costs the client, not the accept loop), document
      loading (resident store for paths, per-query parse for inline
@@ -277,7 +264,7 @@ let run_request t (rq : Protocol.run_request) =
     crash_point "query start";
     let compiled =
       Plan_cache.find_or_add t.plan_cache key (fun () ->
-          Pipeline.compile ~rewrite:knobs.Pipeline.k_rewrite rq.rq_source)
+          Pipeline.compile ~rewrite rq.rq_source)
     in
     (* A STREAM request bypasses the resident document store: the point
        of streaming a one-shot document is precisely not to materialize
@@ -305,7 +292,8 @@ let run_request t (rq : Protocol.run_request) =
         let report =
           Pipeline.run ~scope:`Domain ~force_governor:true
             ~on_governor:(fun g -> slot := Some (register_inflight t g))
-            ~knobs ~indent:rq.rq_indent ~compiled ?load_doc ?stream_source ()
+            ~base:t.base ~knobs ~indent:rq.rq_indent ~compiled ?load_doc
+            ?stream_source ()
         in
         crash_point "before response";
         (* match the CLI byte for byte: [xq run] prints the rendering
@@ -361,7 +349,7 @@ let stats_text t =
      (the intern table is shared by all resident queries) *)
   line "dict_entries" (Xq_engine.Key.dict_size ());
   line "dict_interns" (Xq_engine.Key.intern_count ());
-  line "batch_size" (Xq_par.Batch.size ());
+  line "batch_size" t.base.Config.batch;
   Buffer.contents b
 
 (* --- command dispatch --------------------------------------------------- *)

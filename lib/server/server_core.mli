@@ -64,7 +64,10 @@ type config = {
           (default 200); drain-mode refusals hint the drain window
           instead *)
   c_knobs : Xq_pipeline.Pipeline.knobs;
-      (** per-query defaults; request headers override field-wise *)
+      (** the server default: laid over the environment once, at
+          {!create}; each request's knobs lay over the result (a
+          request header beats the server default, which beats the
+          environment) *)
 }
 
 val default_config : config
@@ -103,8 +106,10 @@ val handle : t -> Protocol.command -> Protocol.response
 
 (** The [STATS] payload: one [key value] per line — pid, drain state,
     served/error counters by exit family, admission and connection
-    rejects, drain cancellations, connection drops, and both caches'
-    hit/miss/eviction counters. *)
+    rejects, drain cancellations, connection drops, both caches'
+    hit/miss/eviction counters, the key dictionary's size, and the
+    server's resolved default batch size ([batch_size]: the server
+    default, else [XQ_BATCH], else 4096). *)
 val stats_text : t -> string
 
 (** [serve_connection t ic oc] — read commands until [QUIT], EOF or a

@@ -24,25 +24,7 @@ let magic = "XQSP\001"
 
 (* --- availability -------------------------------------------------------- *)
 
-let enabled = Atomic.make true
-let dir_override : string option Atomic.t = Atomic.make None
-
-let dir () =
-  match Atomic.get dir_override with
-  | Some d -> d
-  | None -> (
-    match Sys.getenv_opt "XQ_SPILL_DIR" with
-    | Some d when d <> "" -> d
-    | Some _ | None -> (
-      match Sys.getenv_opt "TMPDIR" with
-      | Some d when d <> "" -> d
-      | Some _ | None -> Filename.get_temp_dir_name ()))
-
-let set_dir d =
-  Atomic.set dir_override d;
-  Atomic.set enabled true (* re-probe against the new directory *)
-
-let set_enabled b = Atomic.set enabled b
+let dir () = (Xq_config.Config.current ()).Xq_config.Config.spill_dir
 
 let probe_counter = Atomic.make 0
 
@@ -50,10 +32,9 @@ let probe_counter = Atomic.make 0
    raw Unix calls (never the fault-injected path: an injected fault
    must surface as XQENG0006 at spill time, not silently disable
    spilling). Re-evaluated per call — it is only consulted once per
-   grouping operator, and the directory can change via [set_dir]. *)
+   grouping operator, and the directory is the running query's. *)
 let available () =
-  Atomic.get enabled
-  && Sys.getenv_opt "XQ_NO_SPILL" <> Some "1"
+  (Xq_config.Config.current ()).Xq_config.Config.spill
   &&
   let path =
     Filename.concat (dir ())

@@ -27,13 +27,12 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* Run the body under a given pushdown setting, restoring whatever the
-   process had (the suite must behave under XQ_NO_AGG_PUSHDOWN=1 too —
+(* Run the body under a given pushdown setting laid over the running
+   configuration (the suite must behave under XQ_NO_AGG_PUSHDOWN=1 too —
    CI runs it both ways). *)
-let with_pushdown enabled f =
-  let saved = Optimizer.agg_pushdown_on () in
-  Optimizer.set_agg_pushdown enabled;
-  Fun.protect ~finally:(fun () -> Optimizer.set_agg_pushdown saved) f
+let with_pushdown enabled =
+  Xq.Config.with_knobs
+    { Xq.Config.default_knobs with k_agg_pushdown = Some enabled }
 
 let all_kinds = Acc.[ Count; Sum; Avg; Min; Max ]
 

@@ -52,14 +52,17 @@ let explain_tests =
     List.map
       (fun file ->
         test file (fun () ->
-            (* the goldens pin the default planning, which includes the
-               aggregation pushdown — run them with the switch on even
-               under an XQ_NO_AGG_PUSHDOWN=1 sweep (whose point is the
-               executed outputs, not the explain text) *)
-            let saved = Xq_algebra.Optimizer.agg_pushdown_on () in
-            Xq_algebra.Optimizer.set_agg_pushdown true;
-            Fun.protect
-              ~finally:(fun () -> Xq_algebra.Optimizer.set_agg_pushdown saved)
+            (* the goldens pin the default planning — sequential, with
+               the aggregation pushdown — so they run under that
+               configuration even in the XQ_PARALLEL=4 and
+               XQ_NO_AGG_PUSHDOWN=1 sweeps (whose point is the executed
+               outputs, not the explain text) *)
+            Xq.Config.with_knobs
+              {
+                Xq.Config.default_knobs with
+                k_parallel = Some 1;
+                k_agg_pushdown = Some true;
+              }
             @@ fun () ->
             let source = Test_golden.read_file (Filename.concat dir file) in
             let data =

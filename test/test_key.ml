@@ -227,23 +227,26 @@ let dict_tests =
       "grouping with interning = without, sequential and at degree 4" `Quick
       (fun () ->
         let tuples = node_tuples 600 in
-        Fun.protect
-          ~finally:(fun () -> Key.set_interning_available true)
-          (fun () ->
-            Key.set_interning_available false;
-            let plain = Group.group_hash ~keys_of tuples in
-            Key.set_interning_available true;
-            let interned =
-              Key.with_interning (fun () -> Group.group_hash ~keys_of tuples)
-            in
-            let par =
-              Key.with_interning (fun () ->
-                  Group.group_hash ~parallel:4 ~keys_of tuples)
-            in
-            Alcotest.(check (list (list int)))
-              "interned = plain" (group_ids plain) (group_ids interned);
-            Alcotest.(check (list (list int)))
-              "parallel interned = plain" (group_ids plain) (group_ids par)));
+        (* item-at-a-time runs never open an interning scope *)
+        let interns0 = Key.intern_count () in
+        let plain =
+          Xq.Config.with_knobs
+            { Xq.Config.default_knobs with k_batch = Some 1 }
+            (fun () -> Group.group_hash ~keys_of tuples)
+        in
+        Alcotest.(check int) "batch 1 interns nothing" interns0
+          (Key.intern_count ());
+        let interned =
+          Key.with_interning (fun () -> Group.group_hash ~keys_of tuples)
+        in
+        let par =
+          Key.with_interning (fun () ->
+              Group.group_hash ~parallel:4 ~keys_of tuples)
+        in
+        Alcotest.(check (list (list int)))
+          "interned = plain" (group_ids plain) (group_ids interned);
+        Alcotest.(check (list (list int)))
+          "parallel interned = plain" (group_ids plain) (group_ids par));
   ]
 
 (* --- the hash mixer: wide key lists must not collapse -------------------- *)

@@ -86,19 +86,29 @@ let test_plan_cache_keying () =
     (List.length keys)
     (List.length (List.sort_uniq compare keys));
   (* no strategy keys on the one the environment resolves it to *)
-  let saved = Sys.getenv_opt "XQ_GROUP_STRATEGY" in
-  let key_under env =
-    Unix.putenv "XQ_GROUP_STRATEGY" env;
-    Pipeline.cache_key ~knobs source
+  let env_of strategy =
+    Xq.Config.of_env (function
+      | "XQ_GROUP_STRATEGY" -> Some strategy
+      | _ -> None)
   in
+  let key_under env = Pipeline.cache_key ~base:(env_of env) ~knobs source in
   let k_env_sort = key_under "sort" in
   let k_env_hash = key_under "hash" in
-  (match saved with
-   | Some v -> Unix.putenv "XQ_GROUP_STRATEGY" v
-   | None -> Unix.putenv "XQ_GROUP_STRATEGY" "");
   Alcotest.(check bool) "env default changes the key" true
     (k_env_sort <> k_env_hash);
   Alcotest.(check string) "env default keys as its strategy" k_sort k_env_sort;
+  (* a server default beats the environment; a request beats both *)
+  let server =
+    Xq.Config.over
+      { knobs with Pipeline.k_strategy = Some Xq_algebra.Optimizer.Sort }
+      (env_of "hash")
+  in
+  Alcotest.(check string) "server default keys as its strategy" k_sort
+    (Pipeline.cache_key ~base:server ~knobs source);
+  Alcotest.(check string) "request beats the server default" k_hash
+    (Pipeline.cache_key ~base:server
+       ~knobs:{ knobs with Pipeline.k_strategy = Some Xq_algebra.Optimizer.Hash }
+       source);
   (* and the key is injective against crafted query text: a query whose
      text embeds another key's rendering must not collide *)
   let k_sneaky = Pipeline.cache_key ~knobs k_hash in

@@ -302,8 +302,13 @@ let group_tests =
             (fun spill ts -> Group.group_sort ?spill ~keys_of:hot_key ts);
           ]);
     test "XQ_NO_SPILL degrades to the in-memory path" (fun () ->
-        Unix.putenv "XQ_NO_SPILL" "1";
-        Fun.protect ~finally:(fun () -> Unix.putenv "XQ_NO_SPILL" "0")
+        (* the configuration XQ_NO_SPILL=1 resolves to *)
+        let no_spill =
+          Xq.Config.of_env (function "XQ_NO_SPILL" -> Some "1" | _ -> None)
+        in
+        check_bool "resolves to spill off" false no_spill.Xq.Config.spill;
+        Xq.Config.with_config
+          { (Xq.Config.current ()) with spill = no_spill.Xq.Config.spill }
           (fun () ->
             let tuples = int_tuples 2000 7 in
             let expected = groups_repr (Group.group_hash ~keys_of tuples) in
@@ -412,11 +417,14 @@ let explain_tests =
                         el_text "v" (string_of_int (i mod 100));
                       ])))
         in
+        (* sequential: at a higher degree (an XQ_PARALLEL sweep) the
+           same live charge splits across partitions, each under the
+           floor *)
         let analyze watermark =
           let g = Governor.create ?spill_watermark_bytes:watermark () in
           Governor.with_governor g (fun () ->
               Xq_rewrite.Explain.analyze_query ~timings:false
-                ~strategy:Optimizer.Hash ~context_node:doc
+                ~strategy:Optimizer.Hash ~parallel:1 ~context_node:doc
                 (Xq.parse diff_query))
         in
         let spilled = analyze (Some 1) in

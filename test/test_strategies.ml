@@ -123,36 +123,34 @@ let batch_differential name query =
   test
     (Printf.sprintf "%s agrees across batch sizes (%d seeds)" name (seeds / 2))
     (fun () ->
-      Fun.protect
-        ~finally:(fun () -> Xq_par.Batch.set_size None)
-        (fun () ->
-          for seed = 0 to (seeds / 2) - 1 do
-            let rng = Prng.create (0xba7c4 + seed) in
-            let doc = random_doc rng in
-            Xq_par.Batch.set_size None;
-            let expected = oracle_on doc query in
+      for seed = 0 to (seeds / 2) - 1 do
+        let rng = Prng.create (0xba7c4 + seed) in
+        let doc = random_doc rng in
+        let expected = oracle_on doc query in
+        List.iter
+          (fun batch ->
+            Xq.Config.with_knobs
+              { Xq.Config.default_knobs with k_batch = batch }
+            @@ fun () ->
             List.iter
-              (fun batch ->
-                Xq_par.Batch.set_size batch;
-                List.iter
-                  (fun (label, strategy) ->
-                    let got =
-                      serialize
-                        (Exec.run_string ~strategy ~parallel:1
-                           ~context_node:doc query)
-                    in
-                    if got <> expected then
-                      Alcotest.failf
-                        "seed %d, strategy %s, batch %s:\n\
-                         expected %s\ngot      %s"
-                        seed label
-                        (match batch with
-                         | Some b -> string_of_int b
-                         | None -> "default")
-                        expected got)
-                  strategies)
-              batch_sizes
-          done))
+              (fun (label, strategy) ->
+                let got =
+                  serialize
+                    (Exec.run_string ~strategy ~parallel:1
+                       ~context_node:doc query)
+                in
+                if got <> expected then
+                  Alcotest.failf
+                    "seed %d, strategy %s, batch %s:\n\
+                     expected %s\ngot      %s"
+                    seed label
+                    (match batch with
+                     | Some b -> string_of_int b
+                     | None -> "default")
+                    expected got)
+              strategies)
+          batch_sizes
+      done)
 
 let batch_tests =
   [

@@ -318,21 +318,27 @@ let pipeline_fallback () =
 
 let pipeline_kill_switch () =
   let doc = orders_doc 20 in
-  Unix.putenv "XQ_NO_STREAM" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "XQ_NO_STREAM" "0")
-    (fun () ->
-      let r =
-        Pipeline.run ~knobs:knobs_plan ~source:group_q
-          ~stream_source:(`String doc) ()
-      in
-      let expected =
-        Pipeline.run ~knobs:knobs_plan ~source:group_q
-          ~load_doc:(fun () -> Xml_parse.parse doc)
-          ()
-      in
-      check_string "kill switch output" expected.Pipeline.r_output
-        r.Pipeline.r_output)
+  (* the configuration XQ_NO_STREAM=1 resolves to; the kill switch beats
+     even a request for streaming by name *)
+  let killed =
+    Xq.Config.of_env (function "XQ_NO_STREAM" -> Some "1" | _ -> None)
+  in
+  check_bool "resolves to the kill switch" true killed.Xq.Config.no_stream;
+  let base =
+    { (Xq.Config.current ()) with no_stream = killed.Xq.Config.no_stream }
+  in
+  let r =
+    Pipeline.run ~base
+      ~knobs:{ knobs_plan with Pipeline.k_stream = Some true }
+      ~source:group_q ~stream_source:(`String doc) ()
+  in
+  let expected =
+    Pipeline.run ~base ~knobs:knobs_plan ~source:group_q
+      ~load_doc:(fun () -> Xml_parse.parse doc)
+      ()
+  in
+  check_string "kill switch output" expected.Pipeline.r_output
+    r.Pipeline.r_output
 
 let pipeline_explain_verdict () =
   let doc = orders_doc 5 in
